@@ -8,6 +8,7 @@ use sge_bench::experiments::collection;
 use sge_bench::ExperimentConfig;
 use sge_datasets::CollectionKind;
 use sge_ri::Algorithm;
+use std::sync::Arc;
 
 fn bench_fig10(c: &mut Criterion) {
     let config = ExperimentConfig::smoke();
@@ -20,11 +21,15 @@ fn bench_fig10(c: &mut Criterion) {
             .iter()
             .max_by_key(|i| i.pattern.num_edges())
             .expect("non-empty collection");
-        let target = coll.target_of(instance).clone();
-        let pattern = instance.pattern.clone();
+        let target = Arc::new(coll.target_of(instance).clone());
+        let pattern = Arc::new(instance.pattern.clone());
 
-        let rids = Engine::prepare(&pattern, &target, Algorithm::RiDs);
-        let rids_si_fc = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+        let rids = Engine::prepare(Arc::clone(&pattern), Arc::clone(&target), Algorithm::RiDs);
+        let rids_si_fc = Engine::prepare(
+            Arc::clone(&pattern),
+            Arc::clone(&target),
+            Algorithm::RiDsSiFc,
+        );
 
         group.bench_with_input(
             BenchmarkId::new(kind.name(), "sequential_rids"),

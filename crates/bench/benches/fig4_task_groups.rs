@@ -7,6 +7,7 @@ use sge_bench::experiments::collection;
 use sge_bench::ExperimentConfig;
 use sge_datasets::CollectionKind;
 use sge_ri::Algorithm;
+use std::sync::Arc;
 
 fn bench_fig4(c: &mut Criterion) {
     let config = ExperimentConfig::smoke();
@@ -16,8 +17,8 @@ fn bench_fig4(c: &mut Criterion) {
         .iter()
         .max_by_key(|i| i.pattern.num_edges())
         .expect("non-empty collection");
-    let target = coll.target_of(instance);
-    let engine = Engine::prepare(&instance.pattern, target, Algorithm::RiDs);
+    let target = Arc::new(coll.target_of(instance).clone());
+    let engine = Engine::prepare(Arc::new(instance.pattern.clone()), target, Algorithm::RiDs);
 
     let mut group = c.benchmark_group("fig4_task_groups");
     group.sample_size(10);

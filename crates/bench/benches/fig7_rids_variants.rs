@@ -7,6 +7,7 @@ use sge_bench::experiments::collection;
 use sge_bench::ExperimentConfig;
 use sge_datasets::CollectionKind;
 use sge_ri::Algorithm;
+use std::sync::Arc;
 
 fn bench_fig7(c: &mut Criterion) {
     let config = ExperimentConfig::smoke();
@@ -19,10 +20,10 @@ fn bench_fig7(c: &mut Criterion) {
             .iter()
             .max_by_key(|i| i.pattern.num_edges())
             .expect("non-empty collection");
-        let target = coll.target_of(instance).clone();
-        let pattern = instance.pattern.clone();
+        let target = Arc::new(coll.target_of(instance).clone());
+        let pattern = Arc::new(instance.pattern.clone());
         for algorithm in [Algorithm::RiDs, Algorithm::RiDsSi, Algorithm::RiDsSiFc] {
-            let engine = Engine::prepare(&pattern, &target, algorithm);
+            let engine = Engine::prepare(Arc::clone(&pattern), Arc::clone(&target), algorithm);
             group.bench_with_input(
                 BenchmarkId::new(kind.name(), algorithm.name()),
                 &algorithm,

@@ -8,6 +8,7 @@ use sge_bench::experiments::collection;
 use sge_bench::ExperimentConfig;
 use sge_datasets::CollectionKind;
 use sge_ri::Algorithm;
+use std::sync::Arc;
 
 fn bench_table2(c: &mut Criterion) {
     let config = ExperimentConfig::smoke();
@@ -17,8 +18,8 @@ fn bench_table2(c: &mut Criterion) {
         .iter()
         .max_by_key(|i| i.pattern.num_edges())
         .expect("non-empty collection");
-    let target = coll.target_of(instance);
-    let engine = Engine::prepare(&instance.pattern, target, Algorithm::Ri);
+    let target = Arc::new(coll.target_of(instance).clone());
+    let engine = Engine::prepare(Arc::new(instance.pattern.clone()), target, Algorithm::Ri);
 
     let mut group = c.benchmark_group("table2_parallel_ri");
     group.sample_size(10);

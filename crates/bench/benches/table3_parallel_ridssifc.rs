@@ -7,6 +7,7 @@ use sge_bench::experiments::collection;
 use sge_bench::ExperimentConfig;
 use sge_datasets::CollectionKind;
 use sge_ri::Algorithm;
+use std::sync::Arc;
 
 fn bench_table3(c: &mut Criterion) {
     let config = ExperimentConfig::smoke();
@@ -19,9 +20,13 @@ fn bench_table3(c: &mut Criterion) {
             .iter()
             .max_by_key(|i| i.pattern.num_edges())
             .expect("non-empty collection");
-        let target = coll.target_of(instance).clone();
-        let pattern = instance.pattern.clone();
-        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+        let target = Arc::new(coll.target_of(instance).clone());
+        let pattern = Arc::new(instance.pattern.clone());
+        let engine = Engine::prepare(
+            Arc::clone(&pattern),
+            Arc::clone(&target),
+            Algorithm::RiDsSiFc,
+        );
         for workers in [1usize, 2, 4] {
             group.bench_with_input(BenchmarkId::new(kind.name(), workers), &workers, |b, &w| {
                 b.iter(|| {

@@ -62,6 +62,7 @@
 //! schema string so the trajectory stays diffable.
 
 use crate::experiments::collection;
+use crate::records::{prepare_engine, shared_targets};
 use crate::report::Table;
 use crate::ExperimentConfig;
 use sge::obs::TraceSink;
@@ -70,8 +71,8 @@ use sge::ri::CandidateMode;
 use sge_datasets::CollectionKind;
 use sge_graph::{generators, io::write_graph, Graph};
 use sge_ri::Algorithm;
-use sge_service::json::Json;
 use sge_service::Coordinator;
+use sge_wire::json::Json;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -174,15 +175,10 @@ fn schedulers() -> Vec<(&'static str, Scheduler)> {
 /// Runs the scheduler sweep over a workload of prepared engines, once per
 /// candidate mode, timing each sweep as one count-only pass over the set.
 ///
-/// All timed passes run first, while every engine is still sink-free — the
-/// instrumented counter pass attaches [`TraceSink`]s, and the zero-overhead
-/// contract only holds for engines without one.
-fn sweep_engine_sets(
-    intersection: &mut [Engine<'_>],
-    single: &[Engine<'_>],
-    repeats: usize,
-) -> Vec<Case> {
-    let time_set = |engines: &[Engine<'_>], scheduler: Scheduler| {
+/// All timed passes run sink-free; the instrumented counter pass runs
+/// afterwards with a [`TraceSink`] per run.
+fn sweep_engine_sets(intersection: &[Engine], single: &[Engine], repeats: usize) -> Vec<Case> {
+    let time_set = |engines: &[Engine], scheduler: Scheduler| {
         median_seconds(repeats, || {
             for engine in engines {
                 std::hint::black_box(engine.run(&RunConfig::new(scheduler)).matches);
@@ -222,33 +218,39 @@ fn sweep_engine_sets(
         .collect()
 }
 
-/// One untimed instrumented pass over the intersection workload: attaches a
-/// fresh [`TraceSink`] to every engine, runs the count-only sweep once under
-/// `scheduler`, and sums the observed consistency checks and successful
-/// steals across the set.
-fn instrumented_totals(engines: &mut [Engine<'_>], scheduler: Scheduler) -> (u64, u64) {
+/// One untimed instrumented pass over the intersection workload: runs the
+/// count-only sweep once under `scheduler` with a fresh [`TraceSink`] per
+/// engine, and sums the observed consistency checks and successful steals
+/// across the set.
+fn instrumented_totals(engines: &[Engine], scheduler: Scheduler) -> (u64, u64) {
     let mut states = 0u64;
     let mut steals = 0u64;
-    for engine in engines.iter_mut() {
-        let sink = Arc::new(TraceSink::new(engine.plan().num_positions()));
-        engine.set_trace_sink(Arc::clone(&sink));
-        std::hint::black_box(engine.run(&RunConfig::new(scheduler)).matches);
+    for engine in engines {
+        let sink = TraceSink::new(engine.plan().num_positions());
+        let outcome = engine.run_traced(&RunConfig::new(scheduler), None, Some(&sink));
+        std::hint::black_box(outcome.matches);
         states += sink.states_total();
         steals += sink.steals();
     }
     (states, steals)
 }
 
+/// Both candidate modes of one instance, planned with the default strategy.
+fn prepare_modes(pattern: &Graph, target: &Arc<Graph>, algorithm: Algorithm) -> (Engine, Engine) {
+    let [intersection, single] = [CandidateMode::Intersection, CandidateMode::SingleParent]
+        .map(|mode| prepare_engine(pattern, target, algorithm, mode, Strategy::default()));
+    (intersection, single)
+}
+
 /// Runs the scheduler sweep over one instance in both candidate modes.
 fn sweep_instance(
     pattern: &Graph,
-    target: &Graph,
+    target: &Arc<Graph>,
     algorithm: Algorithm,
     repeats: usize,
 ) -> Vec<Case> {
-    let mut intersection = [Engine::prepare(pattern, target, algorithm)];
-    let single = Engine::prepare_with_mode(pattern, target, algorithm, CandidateMode::SingleParent);
-    sweep_engine_sets(&mut intersection, &[single], repeats)
+    let (intersection, single) = prepare_modes(pattern, target, algorithm);
+    sweep_engine_sets(&[intersection], &[single], repeats)
 }
 
 /// Figure `fig3_work_stealing`: the PPIS32-like collection under the
@@ -269,17 +271,13 @@ fn fig3_cases(config: &ReportConfig) -> Vec<Case> {
         }
     };
     let coll = collection(CollectionKind::Ppis32, &experiment);
-    fn prepare_all<'g>(coll: &'g sge_datasets::Collection, mode: CandidateMode) -> Vec<Engine<'g>> {
-        coll.instances
-            .iter()
-            .map(|i| {
-                Engine::prepare_with_mode(&i.pattern, coll.target_of(i), Algorithm::RiDs, mode)
-            })
-            .collect()
-    }
-    let mut intersection = prepare_all(&coll, CandidateMode::Intersection);
-    let single = prepare_all(&coll, CandidateMode::SingleParent);
-    sweep_engine_sets(&mut intersection, &single, config.repeats)
+    let targets = shared_targets(&coll);
+    let (intersection, single): (Vec<Engine>, Vec<Engine>) = coll
+        .instances
+        .iter()
+        .map(|i| prepare_modes(&i.pattern, &targets[i.target_index], Algorithm::RiDs))
+        .unzip();
+    sweep_engine_sets(&intersection, &single, config.repeats)
 }
 
 /// The grid target the `batch_throughput` figure (engine-level cases *and*
@@ -307,21 +305,12 @@ fn zoo_patterns() -> Vec<Graph> {
 /// Figure `batch_throughput`: the full 100-pattern query mix against the
 /// grid target, engines prepared once (prepared-cache semantics), runs timed.
 fn batch_cases(config: &ReportConfig) -> Vec<Case> {
-    fn prepare_set<'g>(
-        patterns: &'g [Graph],
-        target: &'g Graph,
-        mode: CandidateMode,
-    ) -> Vec<Engine<'g>> {
-        patterns
-            .iter()
-            .map(|p| Engine::prepare_with_mode(p, target, Algorithm::RiDsSiFc, mode))
-            .collect()
-    }
-    let target = batch_target(config);
-    let patterns = zoo_patterns();
-    let mut intersection = prepare_set(&patterns, &target, CandidateMode::Intersection);
-    let single = prepare_set(&patterns, &target, CandidateMode::SingleParent);
-    sweep_engine_sets(&mut intersection, &single, config.repeats)
+    let target = Arc::new(batch_target(config));
+    let (intersection, single): (Vec<Engine>, Vec<Engine>) = zoo_patterns()
+        .iter()
+        .map(|p| prepare_modes(p, &target, Algorithm::RiDsSiFc))
+        .unzip();
+    sweep_engine_sets(&intersection, &single, config.repeats)
 }
 
 /// The 100-pattern batch through the *real* service stack (registry, parse,
@@ -357,7 +346,7 @@ fn service_queries_per_second(config: &ReportConfig) -> f64 {
 fn dense_cases(config: &ReportConfig) -> Vec<Case> {
     let clique_nodes = if config.smoke { 12 } else { 32 };
     let pattern = generators::directed_cycle(4, 0);
-    let target = generators::clique(clique_nodes, 0);
+    let target = Arc::new(generators::clique(clique_nodes, 0));
     sweep_instance(&pattern, &target, Algorithm::RiDs, config.repeats)
 }
 
@@ -429,11 +418,10 @@ fn dense_core_with_fringe(core: usize, fringe: usize) -> Graph {
 /// kernels the sidecar stays detached and both numbers are zero — that
 /// non-decision is part of the figure.
 fn prefilter_verdict(target: &Graph) -> (u64, f64) {
-    let pattern = generators::directed_cycle(4, 0);
-    let mut engine = Engine::prepare(&pattern, target, Algorithm::Ri);
-    let sink = Arc::new(TraceSink::new(engine.plan().num_positions()));
-    engine.set_trace_sink(Arc::clone(&sink));
-    let outcome = engine.run(&RunConfig::new(Scheduler::Sequential));
+    let pattern = Arc::new(generators::directed_cycle(4, 0));
+    let engine = Engine::prepare(pattern, Arc::new(target.clone()), Algorithm::Ri);
+    let sink = TraceSink::new(engine.plan().num_positions());
+    let outcome = engine.run_traced(&RunConfig::new(Scheduler::Sequential), None, Some(&sink));
     std::hint::black_box(outcome.matches);
     let rejected = outcome.kernels.prefilter_rejected;
     // The sink counts candidates that *passed* the prefilter and were
@@ -708,8 +696,9 @@ fn strategy_cases(config: &ReportConfig) -> Vec<StrategyCase> {
         }
     };
     let coll = collection(CollectionKind::Ppis32, &experiment);
+    let targets = shared_targets(&coll);
     let dense_pattern = generators::directed_cycle(4, 0);
-    let dense_target = generators::clique(if config.smoke { 12 } else { 24 }, 0);
+    let dense_target = Arc::new(generators::clique(if config.smoke { 12 } else { 24 }, 0));
 
     // Measure every strategy first; the RI-greedy baseline for the speedup
     // column is looked up afterwards so nothing depends on the iteration
@@ -717,26 +706,21 @@ fn strategy_cases(config: &ReportConfig) -> Vec<StrategyCase> {
     let measured: Vec<(Strategy, f64, f64)> = Strategy::ALL
         .iter()
         .map(|&strategy| {
-            let engines: Vec<Engine<'_>> = coll
+            let prepare = |pattern: &Graph, target: &Arc<Graph>| {
+                prepare_engine(
+                    pattern,
+                    target,
+                    Algorithm::RiDs,
+                    CandidateMode::Intersection,
+                    strategy,
+                )
+            };
+            let engines: Vec<Engine> = coll
                 .instances
                 .iter()
-                .map(|i| {
-                    Engine::prepare_planned(
-                        &i.pattern,
-                        coll.target_of(i),
-                        Algorithm::RiDs,
-                        CandidateMode::Intersection,
-                        strategy,
-                    )
-                })
+                .map(|i| prepare(&i.pattern, &targets[i.target_index]))
                 .collect();
-            let dense = Engine::prepare_planned(
-                &dense_pattern,
-                &dense_target,
-                Algorithm::RiDs,
-                CandidateMode::Intersection,
-                strategy,
-            );
+            let dense = prepare(&dense_pattern, &dense_target);
             let est_states_total = engines
                 .iter()
                 .chain(std::iter::once(&dense))

@@ -8,9 +8,10 @@
 use crate::config::ExperimentConfig;
 use sge::{Engine, EnumerationOutcome, RunConfig, Scheduler};
 use sge_datasets::Collection;
-use sge_ri::Algorithm;
-use sge_ri::CandidateMode;
+use sge_graph::{AdjacencyBitmaps, BitmapConfig, Graph};
+use sge_ri::{Algorithm, CandidateMode, Planner, Strategy};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One measurement: an (instance, algorithm, scheduler) combination.
 #[derive(Clone, Debug)]
@@ -101,6 +102,36 @@ pub fn instances<'a>(
     collection.instances.iter().take(cap)
 }
 
+/// Plans `pattern` against `target` with `strategy` and wraps the plan under
+/// `mode`, attaching a default bitmap sidecar when the plan routes a
+/// position to the bitmap kernel — the sidecar policy of
+/// [`Engine::prepare`], for any strategy and candidate mode.
+pub fn prepare_engine(
+    pattern: &Graph,
+    target: &Arc<Graph>,
+    algorithm: Algorithm,
+    mode: CandidateMode,
+    strategy: Strategy,
+) -> Engine {
+    let plan = Planner::new(strategy).plan(pattern, target, algorithm);
+    let bitmaps = plan
+        .uses_bitmap_kernel()
+        .then(|| Arc::new(AdjacencyBitmaps::build(target, &BitmapConfig::default())));
+    Engine::from_plan(
+        Arc::new(pattern.clone()),
+        Arc::clone(target),
+        bitmaps,
+        plan,
+        mode,
+    )
+}
+
+/// The collection's targets behind shared handles, indexed like
+/// [`Collection::targets`], so every engine of a sweep shares one copy.
+pub fn shared_targets(collection: &Collection) -> Vec<Arc<Graph>> {
+    collection.targets.iter().cloned().map(Arc::new).collect()
+}
+
 /// Runs one scheduler over (a capped number of) the collection's instances
 /// and returns one record per instance.
 pub fn run_instances(
@@ -109,12 +140,12 @@ pub fn run_instances(
     scheduler: Scheduler,
     config: &ExperimentConfig,
 ) -> Vec<InstanceRecord> {
+    let targets = shared_targets(collection);
     instances(collection, config)
         .map(|instance| {
-            let target = collection.target_of(instance);
-            let engine = Engine::prepare_planned(
+            let engine = prepare_engine(
                 &instance.pattern,
-                target,
+                &targets[instance.target_index],
                 algorithm,
                 CandidateMode::default(),
                 config.strategy,
@@ -136,11 +167,11 @@ pub fn run_instances_matrix(
 ) -> Vec<Vec<InstanceRecord>> {
     let mut per_scheduler: Vec<Vec<InstanceRecord>> =
         schedulers.iter().map(|_| Vec::new()).collect();
+    let targets = shared_targets(collection);
     for instance in instances(collection, config) {
-        let target = collection.target_of(instance);
-        let engine = Engine::prepare_planned(
+        let engine = prepare_engine(
             &instance.pattern,
-            target,
+            &targets[instance.target_index],
             algorithm,
             CandidateMode::default(),
             config.strategy,

@@ -224,6 +224,25 @@ pub fn pdbsv1_like(scale: f64, seed: u64) -> CollectionSpec {
 mod tests {
     use super::*;
 
+    /// Matches found by a sequential RI-DS-SI-FC search stopped at the
+    /// first one (0 or 1).
+    fn first_match(pattern: &Graph, target: &Graph) -> u64 {
+        let plan = sge_ri::Planner::default().plan(pattern, target, sge_ri::Algorithm::RiDsSiFc);
+        let ctx = sge_ri::SearchContext::new(
+            pattern,
+            target,
+            &plan,
+            sge_ri::CandidateMode::default(),
+            None,
+            None,
+        );
+        let limits = sge_ri::SearchLimits {
+            max_matches: Some(1),
+            ..sge_ri::SearchLimits::default()
+        };
+        sge_ri::search_prepared(&ctx, &limits, |_, _| {}).matches
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let spec = graemlin32_like(0.2, 99);
@@ -266,12 +285,7 @@ mod tests {
         for instance in collection.instances.iter().take(6) {
             assert!(instance.target_index < collection.targets.len());
             let target = collection.target_of(instance);
-            let matches = sge_ri::enumerate(
-                &instance.pattern,
-                target,
-                &sge_ri::MatchConfig::new(sge_ri::Algorithm::RiDsSiFc).with_max_matches(1),
-            )
-            .matches;
+            let matches = first_match(&instance.pattern, target);
             assert!(matches >= 1, "instance {} does not embed", instance.id);
         }
     }

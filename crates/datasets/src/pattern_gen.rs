@@ -118,6 +118,25 @@ pub fn extract_pattern(target: &Graph, target_edges: usize, seed: u64) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Matches found by a sequential RI-DS-SI-FC search stopped at the
+    /// first one (0 or 1).
+    fn first_match(pattern: &Graph, target: &Graph) -> u64 {
+        let plan = sge_ri::Planner::default().plan(pattern, target, sge_ri::Algorithm::RiDsSiFc);
+        let ctx = sge_ri::SearchContext::new(
+            pattern,
+            target,
+            &plan,
+            sge_ri::CandidateMode::default(),
+            None,
+            None,
+        );
+        let limits = sge_ri::SearchLimits {
+            max_matches: Some(1),
+            ..sge_ri::SearchLimits::default()
+        };
+        sge_ri::search_prepared(&ctx, &limits, |_, _| {}).matches
+    }
     use crate::target_gen::{generate_target, TargetSpec};
     use sge_graph::generators;
 
@@ -134,12 +153,7 @@ mod tests {
     fn extracted_pattern_embeds_in_its_target() {
         let target = generate_target(&TargetSpec::small(), 43, "t");
         let pattern = extract_pattern(&target, 8, 3).expect("pattern");
-        let matches = sge_ri::enumerate(
-            &pattern,
-            &target,
-            &sge_ri::MatchConfig::new(sge_ri::Algorithm::RiDsSiFc).with_max_matches(1),
-        )
-        .matches;
+        let matches = first_match(&pattern, &target);
         assert!(
             matches >= 1,
             "an extracted pattern must embed at least once"

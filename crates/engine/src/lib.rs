@@ -6,16 +6,18 @@
 //!
 //! 1. [`Engine::prepare`] runs preprocessing (domains, forward checking,
 //!    GreatestConstraintFirst ordering) **once** and keeps the resulting
-//!    [`SearchContext`] as a reusable prepared artifact — the paper's
-//!    one-target/many-runs PDBSv1 workload amortizes this across runs,
+//!    [`QueryPlan`] as a reusable prepared artifact — the paper's
+//!    one-target/many-runs PDBSv1 workload amortizes this across runs;
+//!    [`Engine::from_plan`] wraps any other plan a [`Planner`] produced,
 //! 2. [`Engine::run`] executes the search under any [`Scheduler`] with one
 //!    [`RunConfig`] knob set (`max_matches`, `time_limit`, mapping
 //!    collection) and returns one [`EnumerationOutcome`] shape,
 //! 3. [`Engine::run_with`] additionally streams every match to a
-//!    [`MatchVisitor`],
-//! 4. [`PreparedEngine`] is the *owned* counterpart of [`Engine`]: it keeps
-//!    the graphs alive behind [`Arc`]s so a prepared instance can outlive
-//!    the scope that built it — the shape a query-serving cache needs.
+//!    [`MatchVisitor`], and [`Engine::run_traced`] attaches a per-run
+//!    [`TraceSink`],
+//! 4. the engine owns its graphs behind [`Arc`]s and never changes after
+//!    construction, so a prepared instance can outlive the scope that built
+//!    it and serve concurrent runs — the shape a query-serving cache needs.
 //!
 //! # The scheduler-equivalence contract
 //!
@@ -44,17 +46,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use sge_graph::{AdjacencyBitmaps, Graph, GraphStats, NodeId};
+use sge_graph::{AdjacencyBitmaps, BitmapConfig, Graph, NodeId};
 use sge_obs::TraceSink;
-use sge_parallel::{enumerate_prepared, enumerate_rayon_prepared, ParallelConfig};
+use sge_parallel::{enumerate_prepared, enumerate_rayon_prepared, ParallelConfig, ParallelResult};
 use sge_ri::{
     search_prepared, Algorithm, CandidateMode, ChannelVisitor, CollectingVisitor, KernelChoice,
-    KernelUsage, MatchVisitor, PreparedParts, QueryPlan, SearchContext, SearchLimits, Strategy,
+    KernelUsage, MatchVisitor, Planner, QueryPlan, SearchContext, SearchLimits, Strategy,
 };
 use sge_stealing::WorkerStats;
-use sge_util::{CancelToken, PhaseTimer};
+use sge_util::CancelToken;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Which execution strategy drives the search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -205,11 +207,6 @@ impl std::str::FromStr for Scheduler {
 pub struct RunConfig {
     /// Execution strategy.
     pub scheduler: Scheduler,
-    /// Ordering strategy for the match order.  A *preparation* knob: it is
-    /// consumed by [`Engine::prepare_for`] (and by the serving layer, which
-    /// prepares per query); [`Engine::run`] executes whatever plan the
-    /// engine was prepared with and ignores this field.
-    pub strategy: Strategy,
     /// Stop cooperatively after this many matches (`None` = enumerate all).
     /// Every scheduler reports exactly `min(max_matches, total)`.
     pub max_matches: Option<u64>,
@@ -233,7 +230,6 @@ impl RunConfig {
     pub fn new(scheduler: Scheduler) -> Self {
         RunConfig {
             scheduler,
-            strategy: Strategy::default(),
             max_matches: None,
             time_limit: None,
             collect_mappings: 0,
@@ -244,13 +240,6 @@ impl RunConfig {
     /// Sets the scheduler.
     pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
         self.scheduler = scheduler;
-        self
-    }
-
-    /// Sets the ordering strategy (consumed at preparation time; see
-    /// [`RunConfig::strategy`]).
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -296,8 +285,8 @@ pub struct EnumerationOutcome {
     /// Search-space size: consistency checks performed, summed over workers.
     /// Schedule-invariant on complete runs.
     pub states: u64,
-    /// Preprocessing seconds — paid once at [`Engine::prepare`] and reported
-    /// unchanged by every run of the same engine.
+    /// Preprocessing seconds — paid once when the engine was prepared and
+    /// reported unchanged by every run of the same engine.
     pub preprocess_seconds: f64,
     /// Matching wall-clock seconds of this run.
     pub match_seconds: f64,
@@ -349,166 +338,220 @@ impl EnumerationOutcome {
 }
 
 /// A prepared enumeration instance: preprocessing done, ready to run under
-/// any scheduler, any number of times.
+/// any scheduler, any number of times, from any number of threads.
+///
+/// The engine owns everything a run needs — the pattern and target behind
+/// [`Arc`]s, the executed [`QueryPlan`], the [`CandidateMode`] and the
+/// optional target bitmap sidecar — and never changes after construction,
+/// so one engine can sit in a long-running cache and serve concurrent
+/// queries (`Engine` is `Send + Sync`; runs take `&self`).  Every run builds
+/// its own [`SearchContext`] view over those parts, and that view carries
+/// the run's kernel counters and optional [`TraceSink`]: concurrent runs of
+/// one engine never mix their counts.
+///
+/// There are two constructors.  [`Engine::prepare`] plans with the default
+/// strategy and candidate mode and builds a bitmap sidecar when the plan
+/// wants one.  Everything else — another [`Strategy`], precomputed target
+/// statistics, a rooted plan, a shared sidecar, another candidate mode — is
+/// "plan with [`Planner`], then [`Engine::from_plan`]".
 ///
 /// ```
 /// use sge_engine::{Engine, RunConfig, Scheduler};
-/// use sge_ri::Algorithm;
+/// use sge_ri::{Algorithm, CandidateMode, Planner, Strategy};
+/// use std::sync::Arc;
 ///
-/// let pattern = sge_graph::generators::directed_cycle(3, 0);
-/// let target = sge_graph::generators::clique(5, 0);
-/// let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+/// let pattern = Arc::new(sge_graph::generators::directed_cycle(3, 0));
+/// let target = Arc::new(sge_graph::generators::clique(5, 0));
+/// let engine = Engine::prepare(Arc::clone(&pattern), Arc::clone(&target), Algorithm::RiDsSiFc);
 ///
 /// let seq = engine.run(&RunConfig::new(Scheduler::Sequential));
 /// let par = engine.run(&RunConfig::new(Scheduler::work_stealing(4)));
 /// assert_eq!(seq.matches, 60);
 /// assert_eq!(par.matches, 60);
 /// assert_eq!(seq.states, par.states); // same search tree under every scheduler
+///
+/// // Any other preparation: plan first, then wrap the plan.
+/// let plan = Planner::new(Strategy::LeastFrequentLabelFirst).plan(&pattern, &target, Algorithm::RiDs);
+/// let lfl = Engine::from_plan(pattern, target, None, plan, CandidateMode::default());
+/// assert_eq!(lfl.run(&RunConfig::default()).matches, 60);
 /// ```
-pub struct Engine<'g> {
-    ctx: SearchContext<'g>,
+pub struct Engine {
+    pattern: Arc<Graph>,
+    target: Arc<Graph>,
+    plan: QueryPlan,
+    mode: CandidateMode,
+    bitmaps: Option<Arc<AdjacencyBitmaps>>,
     preprocess_seconds: f64,
 }
 
-impl<'g> Engine<'g> {
-    /// Runs the preprocessing phase of `algorithm` (domain computation,
-    /// forward checking, node ordering) once and returns a reusable engine.
-    pub fn prepare(pattern: &'g Graph, target: &'g Graph, algorithm: Algorithm) -> Self {
-        Self::prepare_with_mode(pattern, target, algorithm, CandidateMode::default())
+/// The engine under its historical name.
+///
+/// Kept for one reason: the benchmark harness in `perfbench/` is frozen
+/// together with the benchmark definition and names
+/// `sge_engine::PreparedEngine`, calling [`Engine::from_plan`],
+/// [`Engine::run`] and [`Engine::run_with`] and reading the outcome's
+/// `kernels` and `worker_stats`.  New code names [`Engine`].
+///
+/// ```
+/// use sge_engine::{PreparedEngine, RunConfig, Scheduler};
+/// use sge_ri::{Algorithm, CandidateMode, Planner};
+/// use std::sync::Arc;
+///
+/// let pattern = Arc::new(sge_graph::generators::directed_cycle(3, 0));
+/// let target = Arc::new(sge_graph::generators::clique(5, 0));
+/// let plan = Planner::default().plan(&pattern, &target, Algorithm::RiDsSiFc);
+/// let prepared = PreparedEngine::from_plan(pattern, target, None, plan, CandidateMode::default());
+///
+/// // The instance owns everything it needs — hand it to any thread.
+/// assert_eq!(prepared.run(&RunConfig::new(Scheduler::Sequential)).matches, 60);
+/// assert_eq!(prepared.run(&RunConfig::new(Scheduler::work_stealing(2))).matches, 60);
+/// ```
+pub type PreparedEngine = Engine;
+
+impl Engine {
+    /// Plans `algorithm` with the default [`Strategy`] and executes under the
+    /// default [`CandidateMode`].  When the plan routes a position to the
+    /// bitmap kernel, a default-configuration sidecar of `target` is built
+    /// here; the reported preprocessing cost covers planning and that build.
+    pub fn prepare(pattern: Arc<Graph>, target: Arc<Graph>, algorithm: Algorithm) -> Self {
+        let started = Instant::now();
+        let plan = Planner::default().plan(&pattern, &target, algorithm);
+        let bitmaps = plan
+            .uses_bitmap_kernel()
+            .then(|| Arc::new(AdjacencyBitmaps::build(&target, &BitmapConfig::default())));
+        let mut engine =
+            Engine::from_plan(pattern, target, bitmaps, plan, CandidateMode::default());
+        engine.preprocess_seconds = started.elapsed().as_secs_f64();
+        engine
     }
 
-    /// [`Engine::prepare`] with an explicit candidate generation scheme — the
-    /// A/B entry point for comparing the intersection-based hot path against
-    /// the legacy single-parent path under any scheduler.
-    pub fn prepare_with_mode(
-        pattern: &'g Graph,
-        target: &'g Graph,
-        algorithm: Algorithm,
+    /// Wraps a [`QueryPlan`] built by [`Planner::plan`],
+    /// [`Planner::plan_with_stats`] or [`Planner::plan_rooted`], executing it
+    /// under `mode`.  The graphs must be the ones the plan was built from.
+    ///
+    /// The sidecar decision is the caller's: `None` means no sidecar (the
+    /// plan's bitmap steps then gallop over CSR and nothing is prefiltered),
+    /// and none is built here.  The reported preprocessing cost is the
+    /// plan's own [`QueryPlan::plan_seconds`].
+    pub fn from_plan(
+        pattern: Arc<Graph>,
+        target: Arc<Graph>,
+        bitmaps: Option<Arc<AdjacencyBitmaps>>,
+        plan: QueryPlan,
         mode: CandidateMode,
     ) -> Self {
-        Self::prepare_planned(pattern, target, algorithm, mode, Strategy::default())
-    }
-
-    /// The full preparation entry point: plans the match order with
-    /// `strategy` and executes candidates under `mode`.
-    pub fn prepare_planned(
-        pattern: &'g Graph,
-        target: &'g Graph,
-        algorithm: Algorithm,
-        mode: CandidateMode,
-        strategy: Strategy,
-    ) -> Self {
-        let mut timer = PhaseTimer::new();
-        let ctx = timer.time("preprocess", || {
-            SearchContext::prepare_planned(pattern, target, algorithm, mode, strategy)
-        });
         Engine {
-            ctx,
-            preprocess_seconds: timer.seconds("preprocess"),
-        }
-    }
-
-    /// Prepares honoring the preparation knobs of `config` (currently the
-    /// ordering [`Strategy`]) — the library-level path for selecting a
-    /// strategy through a [`RunConfig`].
-    pub fn prepare_for(
-        pattern: &'g Graph,
-        target: &'g Graph,
-        algorithm: Algorithm,
-        config: &RunConfig,
-    ) -> Self {
-        Self::prepare_planned(
+            preprocess_seconds: plan.plan_seconds,
             pattern,
             target,
-            algorithm,
-            CandidateMode::default(),
-            config.strategy,
-        )
-    }
-
-    /// Wraps an externally prepared context (preprocessing cost reported as
-    /// 0).
-    pub fn from_context(ctx: SearchContext<'g>) -> Self {
-        Engine {
-            ctx,
-            preprocess_seconds: 0.0,
+            plan,
+            mode,
+            bitmaps,
         }
     }
 
-    /// Wraps an externally prepared context, reporting `preprocess_seconds`
-    /// as the (already paid) preprocessing cost.
-    pub fn from_context_with_cost(ctx: SearchContext<'g>, preprocess_seconds: f64) -> Self {
-        Engine {
-            ctx,
-            preprocess_seconds,
-        }
+    /// The pattern graph.
+    pub fn pattern(&self) -> &Arc<Graph> {
+        &self.pattern
+    }
+
+    /// The target graph.
+    pub fn target(&self) -> &Arc<Graph> {
+        &self.target
     }
 
     /// The algorithm this engine was prepared for.
     pub fn algorithm(&self) -> Algorithm {
-        self.ctx.algorithm()
+        self.plan.algorithm
     }
 
     /// The ordering strategy of the prepared plan.
     pub fn strategy(&self) -> Strategy {
-        self.ctx.strategy()
+        self.plan.strategy
+    }
+
+    /// The candidate generation scheme this engine executes under.
+    pub fn candidate_mode(&self) -> CandidateMode {
+        self.mode
     }
 
     /// The prepared query plan (match order, domains, cost estimates) —
     /// what `EXPLAIN` reports.
     pub fn plan(&self) -> &QueryPlan {
-        self.ctx.plan()
+        &self.plan
     }
 
-    /// The prepared search context (ordering, domains, candidate machinery).
-    pub fn context(&self) -> &SearchContext<'g> {
-        &self.ctx
+    /// The target bitmap sidecar, if any.
+    pub fn bitmaps(&self) -> Option<&Arc<AdjacencyBitmaps>> {
+        self.bitmaps.as_ref()
     }
 
-    /// Seconds spent in [`Engine::prepare`].
+    /// The kernel that will generate candidates at each position, resolved
+    /// for EXPLAIN: `"scan"` for positions without back-edge constraints
+    /// (domain / full-target scans), otherwise the planner's
+    /// [`KernelChoice`] — downgraded to `"gallop"` when no sidecar is
+    /// attached or the sidecar is row-less (memory-capped), since the bitmap
+    /// path cannot run then.  (`"bitmap"` positions still fall back to
+    /// `"gallop"` at run time when one specific row is missing.)
+    pub fn resolved_kernels(&self) -> Vec<&'static str> {
+        let rows_present = self.bitmaps.as_ref().is_some_and(|b| b.row_count() > 0);
+        self.plan
+            .order
+            .plan
+            .steps
+            .iter()
+            .map(|step| {
+                if step.constraints.is_empty() {
+                    "scan"
+                } else if step.kernel == KernelChoice::Bitmap && rows_present {
+                    step.kernel.as_str()
+                } else {
+                    KernelChoice::Gallop.as_str()
+                }
+            })
+            .collect()
+    }
+
+    /// Preprocessing seconds: planning (and, for [`Engine::prepare`], the
+    /// sidecar build), reported unchanged by every run.
     pub fn preprocess_seconds(&self) -> f64 {
         self.preprocess_seconds
     }
 
-    /// Attaches a [`TraceSink`] that observes candidate generation and
-    /// consistency checks at every match-order position, for every scheduler
-    /// this engine subsequently runs under.  Per-position totals are
-    /// schedule-invariant on complete runs (the scheduler-equivalence
-    /// contract extends to the observed counts); the sink additionally
-    /// accumulates steal/task counters under the parallel schedulers.
-    ///
-    /// Without a sink the hot path pays a single predictable branch — the
-    /// zero-overhead-when-disabled contract the benchmarks rely on.
-    pub fn set_trace_sink(&mut self, sink: Arc<TraceSink>) {
-        self.ctx.set_trace_sink(sink);
-    }
-
-    /// Builder-style [`Engine::set_trace_sink`].
-    pub fn with_trace_sink(mut self, sink: Arc<TraceSink>) -> Self {
-        self.set_trace_sink(sink);
-        self
-    }
-
-    /// The attached trace sink, if any.
-    pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
-        self.ctx.trace_sink()
-    }
-
     /// `true` when preprocessing already proved there are no matches.
     pub fn impossible(&self) -> bool {
-        self.ctx.impossible()
+        self.plan.impossible || self.pattern.num_nodes() > self.target.num_nodes()
     }
 
     /// Executes one run under `config.scheduler`.
     pub fn run(&self, config: &RunConfig) -> EnumerationOutcome {
-        self.execute(config, None, None)
+        self.execute(config, None, None, None)
     }
 
     /// Executes one run, streaming every match to `visitor` (called from
     /// worker threads under the parallel schedulers; from the calling thread,
     /// as worker 0, under the sequential one).
     pub fn run_with(&self, config: &RunConfig, visitor: &dyn MatchVisitor) -> EnumerationOutcome {
-        self.execute(config, Some(visitor), None)
+        self.execute(config, Some(visitor), None, None)
+    }
+
+    /// The general run entry point: [`Engine::run`] / [`Engine::run_with`]
+    /// with an optional [`TraceSink`] observing this run only.
+    ///
+    /// The sink records candidate generation and consistency checks at every
+    /// match-order position; per-position totals are schedule-invariant on
+    /// complete runs (the scheduler-equivalence contract extends to the
+    /// observed counts), and the parallel schedulers additionally add their
+    /// steal/task counters.  A sink disables the sequential count-only
+    /// shortcut, which would skip the per-candidate observations.  Without a
+    /// sink the hot path pays a single predictable branch.
+    pub fn run_traced(
+        &self,
+        config: &RunConfig,
+        visitor: Option<&dyn MatchVisitor>,
+        sink: Option<&TraceSink>,
+    ) -> EnumerationOutcome {
+        self.execute(config, visitor, sink, None)
     }
 
     /// Executes one run while handing every discovered mapping to `consumer`
@@ -545,7 +588,7 @@ impl<'g> Engine<'g> {
                     let bridge = ChannelVisitor::new(sender, Arc::clone(&cancel));
                     // The bridge owns the sender; dropping it when this
                     // closure returns disconnects the receiver below.
-                    self.execute(config, Some(&bridge), Some(&cancel))
+                    self.execute(config, Some(&bridge), None, Some(&cancel))
                 })
             };
             while let Ok(mapping) = receiver.recv() {
@@ -573,419 +616,146 @@ impl<'g> Engine<'g> {
         &self,
         config: &RunConfig,
         visitor: Option<&dyn MatchVisitor>,
+        sink: Option<&TraceSink>,
         cancel: Option<&Arc<CancelToken>>,
     ) -> EnumerationOutcome {
-        // Kernel counters accumulate in cells shared across this context's
-        // runs; bracketing with snapshots attributes exactly this run's work.
-        let kernels_before = self.ctx.kernel_totals();
+        // A fresh per-run view: the kernel counters it carries belong to
+        // this run alone, however many runs share the engine.
+        let ctx = SearchContext::new(
+            &self.pattern,
+            &self.target,
+            &self.plan,
+            self.mode,
+            self.bitmaps.as_deref(),
+            sink,
+        );
+        let parallel =
+            |workers: usize, task_group_size: usize, steal_enabled: bool| ParallelConfig {
+                workers: workers.max(1),
+                task_group_size: task_group_size.max(1),
+                steal_enabled,
+                max_matches: config.max_matches,
+                time_limit: config.time_limit,
+                collect_limit: config.collect_mappings,
+                cancel: cancel.map(Arc::clone),
+                seed: config.seed,
+            };
         let mut outcome = match config.scheduler {
-            Scheduler::Sequential => self.run_sequential(config, visitor, cancel),
+            Scheduler::Sequential => run_sequential(&ctx, config, visitor, cancel),
             Scheduler::WorkStealing {
                 workers,
                 task_group_size,
                 stealing,
-            } => {
-                let parallel = ParallelConfig {
-                    algorithm: self.ctx.algorithm(),
-                    workers: workers.max(1),
-                    task_group_size: task_group_size.max(1),
-                    steal_enabled: stealing,
-                    max_matches: config.max_matches,
-                    time_limit: config.time_limit,
-                    collect_limit: config.collect_mappings,
-                    cancel: cancel.map(Arc::clone),
-                    seed: config.seed,
-                };
-                let result = enumerate_prepared(&self.ctx, &parallel, visitor);
-                self.parallel_outcome(config, result)
-            }
-            Scheduler::Rayon { workers } => {
-                let parallel = ParallelConfig {
-                    algorithm: self.ctx.algorithm(),
-                    workers: workers.max(1),
-                    task_group_size: 1,
-                    steal_enabled: false,
-                    max_matches: config.max_matches,
-                    time_limit: config.time_limit,
-                    collect_limit: config.collect_mappings,
-                    cancel: cancel.map(Arc::clone),
-                    seed: config.seed,
-                };
-                let result = enumerate_rayon_prepared(&self.ctx, &parallel, visitor);
-                self.parallel_outcome(config, result)
-            }
+            } => parallel_outcome(
+                &ctx,
+                config,
+                enumerate_prepared(&ctx, &parallel(workers, task_group_size, stealing), visitor),
+            ),
+            Scheduler::Rayon { workers } => parallel_outcome(
+                &ctx,
+                config,
+                enumerate_rayon_prepared(&ctx, &parallel(workers, 1, false), visitor),
+            ),
         };
         outcome.preprocess_seconds = self.preprocess_seconds;
-        outcome.kernels = self.ctx.kernel_totals().since(&kernels_before);
+        outcome.kernels = ctx.kernel_totals();
         outcome
     }
+}
 
-    fn run_sequential(
-        &self,
-        config: &RunConfig,
-        visitor: Option<&dyn MatchVisitor>,
-        cancel: Option<&Arc<CancelToken>>,
-    ) -> EnumerationOutcome {
-        let limits = SearchLimits {
-            max_matches: config.max_matches,
-            time_limit: config.time_limit,
-            cancel: cancel.map(Arc::clone),
-            // The promise behind the last-depth counting fast path: with no
-            // visitor and no mapping collection, nothing observes individual
-            // matches.
-            count_only: visitor.is_none() && config.collect_mappings == 0,
-        };
-        let (run, mut mappings) = if limits.count_only {
-            // Count-only fast path: nothing observes individual matches, so
-            // skip the per-match observer machinery entirely — no mapping
-            // materialization, no collector consultation, just the counter.
-            (search_prepared(&self.ctx, &limits, |_, _| {}), Vec::new())
-        } else {
-            let collector = CollectingVisitor::new(config.collect_mappings);
-            let run = search_prepared(&self.ctx, &limits, |ctx, state| {
-                // Build the mapping only for observers that still want it:
-                // once the collector is full, a visitor-less run stops
-                // allocating.
-                let collecting = !collector.is_full();
-                if visitor.is_none() && !collecting {
-                    return;
-                }
-                let mapping = ctx.mapping_by_pattern_node(state);
-                if let Some(v) = visitor {
-                    v.on_match(0, &mapping);
-                }
-                if collecting {
-                    collector.on_match(0, &mapping);
-                }
-            });
-            (run, collector.take())
-        };
-        // The sequential collector sees matches in DFS order; sorting gives
-        // the same order contract as the parallel schedulers.
-        mappings.sort_unstable();
-        EnumerationOutcome {
-            algorithm: self.ctx.algorithm(),
-            strategy: self.ctx.strategy(),
-            scheduler: config.scheduler,
-            workers: 1,
-            matches: run.matches,
+fn run_sequential(
+    ctx: &SearchContext<'_>,
+    config: &RunConfig,
+    visitor: Option<&dyn MatchVisitor>,
+    cancel: Option<&Arc<CancelToken>>,
+) -> EnumerationOutcome {
+    let limits = SearchLimits {
+        max_matches: config.max_matches,
+        time_limit: config.time_limit,
+        cancel: cancel.map(Arc::clone),
+        // The promise behind the last-depth counting fast path: with no
+        // visitor and no mapping collection, nothing observes individual
+        // matches.
+        count_only: visitor.is_none() && config.collect_mappings == 0,
+    };
+    let (run, mut mappings) = if limits.count_only {
+        // Count-only fast path: nothing observes individual matches, so
+        // skip the per-match observer machinery entirely — no mapping
+        // materialization, no collector consultation, just the counter.
+        (search_prepared(ctx, &limits, |_, _| {}), Vec::new())
+    } else {
+        let collector = CollectingVisitor::new(config.collect_mappings);
+        let run = search_prepared(ctx, &limits, |ctx, state| {
+            // Build the mapping only for observers that still want it:
+            // once the collector is full, a visitor-less run stops
+            // allocating.
+            let collecting = !collector.is_full();
+            if visitor.is_none() && !collecting {
+                return;
+            }
+            let mapping = ctx.mapping_by_pattern_node(state);
+            if let Some(v) = visitor {
+                v.on_match(0, &mapping);
+            }
+            if collecting {
+                collector.on_match(0, &mapping);
+            }
+        });
+        (run, collector.take())
+    };
+    // The sequential collector sees matches in DFS order; sorting gives
+    // the same order contract as the parallel schedulers.
+    mappings.sort_unstable();
+    EnumerationOutcome {
+        algorithm: ctx.algorithm(),
+        strategy: ctx.strategy(),
+        scheduler: config.scheduler,
+        workers: 1,
+        matches: run.matches,
+        states: run.states,
+        preprocess_seconds: 0.0,
+        match_seconds: run.match_seconds,
+        timed_out: run.timed_out,
+        limit_hit: run.limit_hit,
+        cancelled: run.cancelled,
+        steals: 0,
+        steal_requests: 0,
+        worker_states_stddev: 0.0,
+        worker_stats: vec![WorkerStats {
+            worker_id: 0,
             states: run.states,
-            preprocess_seconds: 0.0,
-            match_seconds: run.match_seconds,
-            timed_out: run.timed_out,
-            limit_hit: run.limit_hit,
-            cancelled: run.cancelled,
-            steals: 0,
-            steal_requests: 0,
-            worker_states_stddev: 0.0,
-            worker_stats: vec![WorkerStats {
-                worker_id: 0,
-                states: run.states,
-                solutions: run.matches,
-                busy_seconds: run.match_seconds,
-                ..WorkerStats::default()
-            }],
-            mappings,
-            kernels: KernelUsage::default(),
-        }
-    }
-
-    fn parallel_outcome(
-        &self,
-        config: &RunConfig,
-        result: sge_parallel::ParallelResult,
-    ) -> EnumerationOutcome {
-        EnumerationOutcome {
-            algorithm: result.algorithm,
-            strategy: self.ctx.strategy(),
-            scheduler: config.scheduler,
-            workers: result.workers,
-            matches: result.matches,
-            states: result.states,
-            preprocess_seconds: 0.0,
-            match_seconds: result.match_seconds,
-            timed_out: result.timed_out,
-            limit_hit: result.limit_hit,
-            cancelled: result.cancelled,
-            steals: result.steals,
-            steal_requests: result.steal_requests,
-            worker_states_stddev: result.worker_states_stddev,
-            worker_stats: result.worker_stats,
-            mappings: result.mappings,
-            kernels: KernelUsage::default(),
-        }
+            solutions: run.matches,
+            busy_seconds: run.match_seconds,
+            ..WorkerStats::default()
+        }],
+        mappings,
+        kernels: KernelUsage::default(),
     }
 }
 
-/// An **owned** prepared enumeration instance.
-///
-/// [`Engine`] borrows its graphs, which ties a prepared instance to the
-/// scope that owns them.  `PreparedEngine` instead shares ownership of the
-/// pattern and target behind [`Arc`]s and keeps the preprocessing artifacts
-/// ([`PreparedParts`]) alongside, so it can live in a long-running cache and
-/// serve concurrent queries from many threads (`PreparedEngine` is `Send +
-/// Sync`; runs take `&self`).
-///
-/// ```
-/// use sge_engine::{PreparedEngine, RunConfig, Scheduler};
-/// use sge_ri::Algorithm;
-/// use std::sync::Arc;
-///
-/// let pattern = Arc::new(sge_graph::generators::directed_cycle(3, 0));
-/// let target = Arc::new(sge_graph::generators::clique(5, 0));
-/// let prepared = PreparedEngine::prepare(pattern, target, Algorithm::RiDsSiFc);
-///
-/// // The instance owns everything it needs — hand it to any thread.
-/// assert_eq!(prepared.run(&RunConfig::new(Scheduler::Sequential)).matches, 60);
-/// assert_eq!(prepared.run(&RunConfig::new(Scheduler::work_stealing(2))).matches, 60);
-/// ```
-pub struct PreparedEngine {
-    pattern: Arc<Graph>,
-    target: Arc<Graph>,
-    parts: PreparedParts,
-    preprocess_seconds: f64,
-}
-
-impl PreparedEngine {
-    /// Runs preprocessing once and returns a self-contained prepared
-    /// instance sharing ownership of both graphs.
-    pub fn prepare(pattern: Arc<Graph>, target: Arc<Graph>, algorithm: Algorithm) -> Self {
-        Self::prepare_planned(
-            pattern,
-            target,
-            algorithm,
-            CandidateMode::default(),
-            Strategy::default(),
-        )
-    }
-
-    /// [`PreparedEngine::prepare`] with explicit candidate mode and ordering
-    /// strategy.
-    pub fn prepare_planned(
-        pattern: Arc<Graph>,
-        target: Arc<Graph>,
-        algorithm: Algorithm,
-        mode: CandidateMode,
-        strategy: Strategy,
-    ) -> Self {
-        let mut timer = PhaseTimer::new();
-        let parts = timer.time("preprocess", || {
-            PreparedParts::extract(&SearchContext::prepare_planned(
-                &pattern, &target, algorithm, mode, strategy,
-            ))
-        });
-        PreparedEngine {
-            pattern,
-            target,
-            parts,
-            preprocess_seconds: timer.seconds("preprocess"),
-        }
-    }
-
-    /// [`PreparedEngine::prepare_planned`] with precomputed target
-    /// statistics — the entry point the serving cache prepares through, so
-    /// a long-lived registry target pays its frequency-table pass once at
-    /// registration instead of on every cache miss.
-    pub fn prepare_planned_with_stats(
-        pattern: Arc<Graph>,
-        target: Arc<Graph>,
-        target_stats: &GraphStats,
-        algorithm: Algorithm,
-        mode: CandidateMode,
-        strategy: Strategy,
-    ) -> Self {
-        let mut timer = PhaseTimer::new();
-        let parts = timer.time("preprocess", || {
-            PreparedParts::extract(&SearchContext::prepare_planned_with_stats(
-                &pattern,
-                &target,
-                target_stats,
-                algorithm,
-                mode,
-                strategy,
-            ))
-        });
-        PreparedEngine {
-            pattern,
-            target,
-            parts,
-            preprocess_seconds: timer.seconds("preprocess"),
-        }
-    }
-
-    /// [`PreparedEngine::prepare_planned_with_stats`] with an explicitly
-    /// supplied target bitmap sidecar (shared, like the stats, by the
-    /// registry that owns the target).  `None` means the caller decided
-    /// against a sidecar — e.g. it hit its memory cap — and the plan's
-    /// bitmap-kernel hints will fall back to galloping at run time.
-    pub fn prepare_planned_full(
-        pattern: Arc<Graph>,
-        target: Arc<Graph>,
-        target_stats: &GraphStats,
-        bitmaps: Option<Arc<AdjacencyBitmaps>>,
-        algorithm: Algorithm,
-        mode: CandidateMode,
-        strategy: Strategy,
-    ) -> Self {
-        let mut timer = PhaseTimer::new();
-        let parts = timer.time("preprocess", || {
-            PreparedParts::extract(&SearchContext::prepare_planned_full(
-                &pattern,
-                &target,
-                target_stats,
-                bitmaps,
-                algorithm,
-                mode,
-                strategy,
-            ))
-        });
-        PreparedEngine {
-            pattern,
-            target,
-            parts,
-            preprocess_seconds: timer.seconds("preprocess"),
-        }
-    }
-
-    /// Wraps an externally produced [`QueryPlan`] (e.g. a rooted plan from
-    /// [`sge_plan::Planner::plan_rooted`], carrying a shard's root filter)
-    /// with an explicit bitmap-sidecar decision, timing the wrap as this
-    /// instance's preprocessing cost.  The graphs must be the ones the plan
-    /// was built from.
-    pub fn from_plan(
-        pattern: Arc<Graph>,
-        target: Arc<Graph>,
-        bitmaps: Option<Arc<AdjacencyBitmaps>>,
-        plan: QueryPlan,
-        mode: CandidateMode,
-    ) -> Self {
-        let mut timer = PhaseTimer::new();
-        let parts = timer.time("preprocess", || {
-            let mut ctx = SearchContext::from_plan(&pattern, &target, plan, mode);
-            ctx.set_bitmaps(bitmaps);
-            PreparedParts::extract(&ctx)
-        });
-        PreparedEngine {
-            pattern,
-            target,
-            parts,
-            preprocess_seconds: timer.seconds("preprocess"),
-        }
-    }
-
-    /// Materializes a borrowing [`Engine`] view (cheap: the domains are
-    /// shared, only the ordering vectors are copied).  The view reports this
-    /// instance's preprocessing cost in its outcomes.
-    pub fn engine(&self) -> Engine<'_> {
-        Engine::from_context_with_cost(
-            self.parts.context(&self.pattern, &self.target),
-            self.preprocess_seconds,
-        )
-    }
-
-    /// Executes one run under `config.scheduler`.
-    pub fn run(&self, config: &RunConfig) -> EnumerationOutcome {
-        self.engine().run(config)
-    }
-
-    /// Executes one run, streaming every match to `visitor`.
-    pub fn run_with(&self, config: &RunConfig, visitor: &dyn MatchVisitor) -> EnumerationOutcome {
-        self.engine().run_with(config, visitor)
-    }
-
-    /// Executes one run, handing every mapping to `consumer` on the calling
-    /// thread through a bounded channel while enumeration proceeds on a
-    /// second thread — see [`Engine::run_streaming`].  The consumer returns
-    /// `false` to cooperatively cancel the run.
-    pub fn run_streaming<F>(
-        &self,
-        config: &RunConfig,
-        channel_capacity: usize,
-        consumer: F,
-    ) -> EnumerationOutcome
-    where
-        F: FnMut(Vec<NodeId>) -> bool,
-    {
-        self.engine()
-            .run_streaming(config, channel_capacity, consumer)
-    }
-
-    /// Convenience: count all matches sequentially.
-    pub fn count(&self) -> u64 {
-        self.run(&RunConfig::default()).matches
-    }
-
-    /// The pattern graph.
-    pub fn pattern(&self) -> &Arc<Graph> {
-        &self.pattern
-    }
-
-    /// The target graph.
-    pub fn target(&self) -> &Arc<Graph> {
-        &self.target
-    }
-
-    /// The algorithm this instance was prepared for.
-    pub fn algorithm(&self) -> Algorithm {
-        self.parts.algorithm()
-    }
-
-    /// The ordering strategy of the prepared plan.
-    pub fn strategy(&self) -> Strategy {
-        self.parts.strategy()
-    }
-
-    /// The candidate generation scheme this instance executes under.
-    pub fn candidate_mode(&self) -> CandidateMode {
-        self.parts.candidate_mode()
-    }
-
-    /// The prepared query plan (match order, domains, cost estimates) —
-    /// what the service's `EXPLAIN` verb reports.
-    pub fn plan(&self) -> &QueryPlan {
-        self.parts.plan()
-    }
-
-    /// The bitmap sidecar captured at preparation time, if any.
-    pub fn bitmaps(&self) -> Option<&Arc<AdjacencyBitmaps>> {
-        self.parts.bitmaps()
-    }
-
-    /// The kernel that will generate candidates at each position, resolved
-    /// for EXPLAIN: `"scan"` for positions without back-edge constraints
-    /// (domain / full-target scans), otherwise the planner's
-    /// [`KernelChoice`] — downgraded to `"gallop"` when no sidecar is
-    /// attached or the sidecar is row-less (memory-capped), since the bitmap
-    /// path cannot run then.  (`"bitmap"` positions still fall back to
-    /// `"gallop"` at run time when one specific row is missing.)
-    pub fn resolved_kernels(&self) -> Vec<&'static str> {
-        let rows_present = self.parts.bitmaps().is_some_and(|b| b.row_count() > 0);
-        self.parts
-            .plan()
-            .order
-            .plan
-            .steps
-            .iter()
-            .map(|step| {
-                if step.constraints.is_empty() {
-                    "scan"
-                } else if step.kernel == KernelChoice::Bitmap && rows_present {
-                    step.kernel.as_str()
-                } else {
-                    KernelChoice::Gallop.as_str()
-                }
-            })
-            .collect()
-    }
-
-    /// Seconds spent in [`PreparedEngine::prepare`].
-    pub fn preprocess_seconds(&self) -> f64 {
-        self.preprocess_seconds
-    }
-
-    /// `true` when preprocessing already proved there are no matches.
-    pub fn impossible(&self) -> bool {
-        self.parts.impossible() || self.pattern.num_nodes() > self.target.num_nodes()
+fn parallel_outcome(
+    ctx: &SearchContext<'_>,
+    config: &RunConfig,
+    result: ParallelResult,
+) -> EnumerationOutcome {
+    EnumerationOutcome {
+        algorithm: result.algorithm,
+        strategy: ctx.strategy(),
+        scheduler: config.scheduler,
+        workers: result.workers,
+        matches: result.matches,
+        states: result.states,
+        preprocess_seconds: 0.0,
+        match_seconds: result.match_seconds,
+        timed_out: result.timed_out,
+        limit_hit: result.limit_hit,
+        cancelled: result.cancelled,
+        steals: result.steals,
+        steal_requests: result.steal_requests,
+        worker_states_stddev: result.worker_states_stddev,
+        worker_stats: result.worker_stats,
+        mappings: result.mappings,
+        kernels: KernelUsage::default(),
     }
 }
 
@@ -993,8 +763,7 @@ impl PreparedEngine {
 // field ever loses these bounds.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<PreparedEngine>();
-    assert_send_sync::<Engine<'static>>();
+    assert_send_sync::<Engine>();
     assert_send_sync::<EnumerationOutcome>();
 };
 
@@ -1003,6 +772,11 @@ mod tests {
     use super::*;
     use sge_graph::generators;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// [`Engine::prepare`] over shared handles of test graphs.
+    fn prepare(pattern: &Arc<Graph>, target: &Arc<Graph>, algorithm: Algorithm) -> Engine {
+        Engine::prepare(Arc::clone(pattern), Arc::clone(target), algorithm)
+    }
 
     fn schedulers() -> Vec<Scheduler> {
         vec![
@@ -1021,10 +795,10 @@ mod tests {
 
     #[test]
     fn every_scheduler_agrees_on_matches_and_states() {
-        let pattern = generators::undirected_cycle(4, 0);
-        let target = generators::grid(4, 4);
+        let pattern = Arc::new(generators::undirected_cycle(4, 0));
+        let target = Arc::new(generators::grid(4, 4));
         for algorithm in Algorithm::ALL {
-            let engine = Engine::prepare(&pattern, &target, algorithm);
+            let engine = prepare(&pattern, &target, algorithm);
             let reference = engine.run(&RunConfig::default());
             for scheduler in schedulers() {
                 let outcome = engine.run(&RunConfig::new(scheduler));
@@ -1045,9 +819,9 @@ mod tests {
         // must report bitmap row ANDs and the counts must be
         // schedule-invariant (candidate fills happen once per expansion, like
         // states).
-        let pattern = generators::directed_cycle(4, 0);
-        let target = generators::clique(16, 0);
-        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDs);
+        let pattern = Arc::new(generators::directed_cycle(4, 0));
+        let target = Arc::new(generators::clique(16, 0));
+        let engine = prepare(&pattern, &target, Algorithm::RiDs);
         let reference = engine.run(&RunConfig::default());
         assert!(
             reference.kernels.bitmap > 0,
@@ -1060,13 +834,30 @@ mod tests {
             assert_eq!(outcome.matches, reference.matches, "{scheduler}");
             assert_eq!(outcome.kernels, reference.kernels, "{scheduler}");
         }
+        // The sidecar policy: `prepare` built one because the plan routes
+        // positions to the bitmap kernel; `from_plan` with `None` never
+        // builds one, so the same plan gallops over CSR instead.
+        assert!(engine.bitmaps().is_some());
+        let bare = Engine::from_plan(
+            Arc::clone(&pattern),
+            Arc::clone(&target),
+            None,
+            engine.plan().clone(),
+            CandidateMode::default(),
+        );
+        assert!(bare.bitmaps().is_none());
+        assert_eq!(bare.resolved_kernels()[1], "gallop");
+        let galloped = bare.run(&RunConfig::default());
+        assert_eq!(galloped.matches, reference.matches);
+        assert_eq!(galloped.kernels.bitmap, 0);
+        assert!(galloped.kernels.intersections() > 0);
     }
 
     #[test]
     fn sparse_targets_report_gallop_or_merge_kernels_only() {
-        let pattern = generators::undirected_cycle(4, 0);
-        let target = generators::grid(4, 4);
-        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDs);
+        let pattern = Arc::new(generators::undirected_cycle(4, 0));
+        let target = Arc::new(generators::grid(4, 4));
+        let engine = prepare(&pattern, &target, Algorithm::RiDs);
         let outcome = engine.run(&RunConfig::default());
         assert_eq!(outcome.kernels.bitmap, 0);
         assert!(
@@ -1077,9 +868,9 @@ mod tests {
 
     #[test]
     fn max_matches_is_exact_under_every_scheduler() {
-        let pattern = generators::directed_path(2, 0);
-        let target = generators::clique(10, 0); // 90 embeddings
-        let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
+        let pattern = Arc::new(generators::directed_path(2, 0));
+        let target = Arc::new(generators::clique(10, 0)); // 90 embeddings
+        let engine = prepare(&pattern, &target, Algorithm::Ri);
         for scheduler in schedulers() {
             let outcome = engine.run(&RunConfig::new(scheduler).with_max_matches(13));
             assert_eq!(outcome.matches, 13, "{scheduler}");
@@ -1089,9 +880,9 @@ mod tests {
 
     #[test]
     fn complete_collections_are_identical_across_schedulers() {
-        let pattern = generators::directed_cycle(3, 0);
-        let target = generators::clique(5, 0); // 60 embeddings
-        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDs);
+        let pattern = Arc::new(generators::directed_cycle(3, 0));
+        let target = Arc::new(generators::clique(5, 0)); // 60 embeddings
+        let engine = prepare(&pattern, &target, Algorithm::RiDs);
         let reference = engine
             .run(&RunConfig::default().with_collected_mappings(100))
             .mappings;
@@ -1113,9 +904,9 @@ mod tests {
                 self.0.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let pattern = generators::directed_cycle(3, 0);
-        let target = generators::clique(5, 0);
-        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+        let pattern = Arc::new(generators::directed_cycle(3, 0));
+        let target = Arc::new(generators::clique(5, 0));
+        let engine = prepare(&pattern, &target, Algorithm::RiDsSiFc);
         for scheduler in schedulers() {
             let counter = Counter(AtomicU64::new(0));
             let outcome = engine.run_with(&RunConfig::new(scheduler), &counter);
@@ -1133,10 +924,10 @@ mod tests {
         // A run with no visitor and no collection takes the count-only fast
         // path (no per-match mapping materialization); it must agree with a
         // fully-observed run on every reported figure.
-        let pattern = generators::undirected_cycle(4, 0);
-        let target = generators::grid(4, 4);
+        let pattern = Arc::new(generators::undirected_cycle(4, 0));
+        let target = Arc::new(generators::grid(4, 4));
         for algorithm in Algorithm::ALL {
-            let engine = Engine::prepare(&pattern, &target, algorithm);
+            let engine = prepare(&pattern, &target, algorithm);
             let counted = engine.run(&RunConfig::default());
             let observed = engine.run(&RunConfig::default().with_collected_mappings(10_000));
             assert_eq!(counted.matches, observed.matches, "{algorithm}");
@@ -1151,9 +942,9 @@ mod tests {
 
     #[test]
     fn streaming_delivers_every_match_with_bounded_memory() {
-        let pattern = generators::directed_cycle(3, 0);
-        let target = generators::clique(5, 0); // 60 embeddings
-        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+        let pattern = Arc::new(generators::directed_cycle(3, 0));
+        let target = Arc::new(generators::clique(5, 0)); // 60 embeddings
+        let engine = prepare(&pattern, &target, Algorithm::RiDsSiFc);
         let reference = engine
             .run(&RunConfig::default().with_collected_mappings(100))
             .mappings;
@@ -1174,9 +965,9 @@ mod tests {
 
     #[test]
     fn streaming_consumer_cancels_the_run_early() {
-        let pattern = generators::directed_path(2, 0);
-        let target = generators::clique(16, 0); // 240 embeddings
-        let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
+        let pattern = Arc::new(generators::directed_path(2, 0));
+        let target = Arc::new(generators::clique(16, 0)); // 240 embeddings
+        let engine = prepare(&pattern, &target, Algorithm::Ri);
         for scheduler in schedulers() {
             let mut seen = 0u64;
             let outcome = engine.run_streaming(&RunConfig::new(scheduler), 4, |_| {
@@ -1194,29 +985,10 @@ mod tests {
     }
 
     #[test]
-    fn prepared_engine_streams_like_the_borrowing_engine() {
-        let pattern = Arc::new(generators::directed_cycle(3, 0));
-        let target = Arc::new(generators::clique(5, 0));
-        let prepared = PreparedEngine::prepare(pattern, target, Algorithm::RiDsSiFc);
-        let mut rows: Vec<Vec<sge_graph::NodeId>> = Vec::new();
-        let outcome = prepared.run_streaming(&RunConfig::default(), 8, |mapping| {
-            rows.push(mapping);
-            true
-        });
-        assert_eq!(outcome.matches, 60);
-        assert_eq!(rows.len(), 60);
-        rows.sort_unstable();
-        let reference = prepared
-            .run(&RunConfig::default().with_collected_mappings(100))
-            .mappings;
-        assert_eq!(rows, reference);
-    }
-
-    #[test]
     fn preprocessing_is_amortized_across_runs() {
-        let pattern = generators::directed_cycle(3, 0);
-        let target = generators::clique(6, 0);
-        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+        let pattern = Arc::new(generators::directed_cycle(3, 0));
+        let target = Arc::new(generators::clique(6, 0));
+        let engine = prepare(&pattern, &target, Algorithm::RiDsSiFc);
         let first = engine.run(&RunConfig::default());
         let second = engine.run(&RunConfig::new(Scheduler::work_stealing(2)));
         assert_eq!(first.preprocess_seconds, engine.preprocess_seconds());
@@ -1226,9 +998,9 @@ mod tests {
 
     #[test]
     fn degenerate_instances_are_uniform_across_schedulers() {
-        let empty = sge_graph::GraphBuilder::new().build();
-        let target = generators::clique(4, 0);
-        let engine = Engine::prepare(&empty, &target, Algorithm::Ri);
+        let empty = Arc::new(sge_graph::GraphBuilder::new().build());
+        let target = Arc::new(generators::clique(4, 0));
+        let engine = prepare(&empty, &target, Algorithm::Ri);
         for scheduler in schedulers() {
             // The empty embedding counts, is collected, and honors the budget
             // identically under every scheduler.
@@ -1257,8 +1029,8 @@ mod tests {
 
         let mut pb = sge_graph::GraphBuilder::new();
         pb.add_node(42);
-        let impossible = pb.build();
-        let engine = Engine::prepare(&impossible, &target, Algorithm::RiDs);
+        let impossible = Arc::new(pb.build());
+        let engine = prepare(&impossible, &target, Algorithm::RiDs);
         assert!(engine.impossible());
         for scheduler in schedulers() {
             assert_eq!(
@@ -1321,16 +1093,24 @@ mod tests {
     }
 
     #[test]
-    fn prepared_engine_matches_borrowing_engine() {
+    fn from_plan_matches_prepare() {
         let pattern = Arc::new(generators::undirected_cycle(4, 0));
         let target = Arc::new(generators::grid(4, 4));
         for algorithm in Algorithm::ALL {
-            let borrowed = Engine::prepare(&pattern, &target, algorithm);
-            let owned =
-                PreparedEngine::prepare(Arc::clone(&pattern), Arc::clone(&target), algorithm);
-            let reference = borrowed.run(&RunConfig::default().with_collected_mappings(10_000));
+            let prepared = prepare(&pattern, &target, algorithm);
+            let plan = Planner::default().plan(&pattern, &target, algorithm);
+            let plan_seconds = plan.plan_seconds;
+            let wrapped = Engine::from_plan(
+                Arc::clone(&pattern),
+                Arc::clone(&target),
+                prepared.bitmaps().cloned(),
+                plan,
+                CandidateMode::default(),
+            );
+            let reference = prepared.run(&RunConfig::default().with_collected_mappings(10_000));
             for scheduler in schedulers() {
-                let outcome = owned.run(&RunConfig::new(scheduler).with_collected_mappings(10_000));
+                let outcome =
+                    wrapped.run(&RunConfig::new(scheduler).with_collected_mappings(10_000));
                 assert_eq!(
                     outcome.matches, reference.matches,
                     "{algorithm} {scheduler}"
@@ -1340,46 +1120,42 @@ mod tests {
                     outcome.mappings, reference.mappings,
                     "{algorithm} {scheduler}"
                 );
+                assert_eq!(outcome.preprocess_seconds, plan_seconds);
             }
-            assert_eq!(owned.algorithm(), algorithm);
-            assert_eq!(
-                owned.preprocess_seconds(),
-                owned.engine().preprocess_seconds()
-            );
+            assert_eq!(wrapped.algorithm(), algorithm);
+            assert_eq!(wrapped.preprocess_seconds(), plan_seconds);
         }
     }
 
     #[test]
-    fn impossible_agrees_between_borrowed_and_owned_engines() {
+    fn impossible_covers_oversized_patterns() {
         // Oversized pattern under plain RI: impossibility comes from the
-        // size comparison, not from domains — both entry points must agree.
+        // size comparison, not from domains — every algorithm must agree.
         let pattern = Arc::new(generators::clique(5, 0));
         let target = Arc::new(generators::clique(3, 0));
         for algorithm in Algorithm::ALL {
-            let borrowed = Engine::prepare(&pattern, &target, algorithm);
-            let owned =
-                PreparedEngine::prepare(Arc::clone(&pattern), Arc::clone(&target), algorithm);
-            assert!(borrowed.impossible(), "{algorithm}");
-            assert!(owned.impossible(), "{algorithm}");
-            assert_eq!(owned.engine().impossible(), borrowed.impossible());
-            assert_eq!(owned.run(&RunConfig::default()).matches, 0);
+            let engine = prepare(&pattern, &target, algorithm);
+            assert!(engine.impossible(), "{algorithm}");
+            assert_eq!(engine.run(&RunConfig::default()).matches, 0);
         }
     }
 
     #[test]
     fn strategies_agree_on_results_and_are_reported() {
-        let pattern = generators::undirected_cycle(4, 0);
-        let target = generators::grid(4, 4);
+        let pattern = Arc::new(generators::undirected_cycle(4, 0));
+        let target = Arc::new(generators::grid(4, 4));
         for algorithm in Algorithm::ALL {
-            let reference = Engine::prepare(&pattern, &target, algorithm)
+            let reference = prepare(&pattern, &target, algorithm)
                 .run(&RunConfig::default().with_collected_mappings(10_000));
             assert_eq!(reference.strategy, Strategy::RiGreedy);
             for strategy in Strategy::ALL {
-                let engine = Engine::prepare_for(
-                    &pattern,
-                    &target,
-                    algorithm,
-                    &RunConfig::default().with_strategy(strategy),
+                let plan = Planner::new(strategy).plan(&pattern, &target, algorithm);
+                let engine = Engine::from_plan(
+                    Arc::clone(&pattern),
+                    Arc::clone(&target),
+                    None,
+                    plan,
+                    CandidateMode::default(),
                 );
                 assert_eq!(engine.strategy(), strategy);
                 assert_eq!(engine.plan().strategy, strategy);
@@ -1403,12 +1179,17 @@ mod tests {
     fn prepared_engine_exposes_its_plan() {
         let pattern = Arc::new(generators::directed_cycle(3, 0));
         let target = Arc::new(generators::clique(5, 0));
-        let prepared = PreparedEngine::prepare_planned(
+        let plan = Planner::new(Strategy::LeastFrequentLabelFirst).plan(
+            &pattern,
+            &target,
+            Algorithm::RiDsSiFc,
+        );
+        let prepared = Engine::from_plan(
             Arc::clone(&pattern),
             Arc::clone(&target),
-            Algorithm::RiDsSiFc,
+            None,
+            plan,
             CandidateMode::Intersection,
-            Strategy::LeastFrequentLabelFirst,
         );
         assert_eq!(prepared.strategy(), Strategy::LeastFrequentLabelFirst);
         assert_eq!(prepared.candidate_mode(), CandidateMode::Intersection);
@@ -1419,15 +1200,14 @@ mod tests {
 
     #[test]
     fn trace_sink_observes_schedule_invariant_counts() {
-        let pattern = generators::undirected_cycle(4, 0);
-        let target = generators::grid(4, 4);
+        let pattern = Arc::new(generators::undirected_cycle(4, 0));
+        let target = Arc::new(generators::grid(4, 4));
         let reference: Option<(Vec<u64>, Vec<u64>)> = schedulers()
             .into_iter()
             .map(|scheduler| {
-                let mut engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
-                let sink = Arc::new(TraceSink::new(engine.plan().num_positions()));
-                engine.set_trace_sink(Arc::clone(&sink));
-                let outcome = engine.run(&RunConfig::new(scheduler));
+                let engine = prepare(&pattern, &target, Algorithm::RiDsSiFc);
+                let sink = TraceSink::new(engine.plan().num_positions());
+                let outcome = engine.run_traced(&RunConfig::new(scheduler), None, Some(&sink));
                 // Every consistency check lands in exactly one position
                 // bucket, so the sink total reproduces the outcome's count.
                 assert_eq!(sink.states_total(), outcome.states, "{scheduler}");
@@ -1445,12 +1225,15 @@ mod tests {
 
     #[test]
     fn trace_sink_collects_steal_counters_under_work_stealing() {
-        let pattern = generators::directed_path(2, 0);
-        let target = generators::clique(16, 0);
-        let mut engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
-        let sink = Arc::new(TraceSink::new(engine.plan().num_positions()));
-        engine.set_trace_sink(Arc::clone(&sink));
-        let outcome = engine.run(&RunConfig::new(Scheduler::work_stealing(4)));
+        let pattern = Arc::new(generators::directed_path(2, 0));
+        let target = Arc::new(generators::clique(16, 0));
+        let engine = prepare(&pattern, &target, Algorithm::Ri);
+        let sink = TraceSink::new(engine.plan().num_positions());
+        let outcome = engine.run_traced(
+            &RunConfig::new(Scheduler::work_stealing(4)),
+            None,
+            Some(&sink),
+        );
         assert_eq!(sink.steals(), outcome.steals);
         assert_eq!(sink.steal_requests(), outcome.steal_requests);
         let executed: u64 = outcome.worker_stats.iter().map(|w| w.tasks_executed).sum();
@@ -1461,11 +1244,7 @@ mod tests {
     fn prepared_engine_is_shareable_across_threads() {
         let pattern = Arc::new(generators::directed_cycle(3, 0));
         let target = Arc::new(generators::clique(5, 0));
-        let prepared = Arc::new(PreparedEngine::prepare(
-            pattern,
-            target,
-            Algorithm::RiDsSiFc,
-        ));
+        let prepared = Arc::new(Engine::prepare(pattern, target, Algorithm::RiDsSiFc));
         assert!(!prepared.impossible());
         let handles: Vec<_> = (0..4)
             .map(|i| {
@@ -1482,6 +1261,57 @@ mod tests {
             .collect();
         for handle in handles {
             assert_eq!(handle.join().unwrap(), 60);
+        }
+    }
+
+    #[test]
+    fn concurrent_runs_of_one_engine_keep_per_run_counts() {
+        // One cached engine, two threads, 50 runs each at the same time; one
+        // thread traces every run.  Kernel counters and sinks are per run,
+        // so every outcome (and every sink) must equal a solo run's figures.
+        let pattern = Arc::new(generators::directed_cycle(4, 0));
+        let target = Arc::new(generators::clique(16, 0)); // bitmap-kernel plan
+        let engine = Arc::new(prepare(&pattern, &target, Algorithm::RiDs));
+        let solo = engine.run(&RunConfig::default());
+        let solo_sink = TraceSink::new(engine.plan().num_positions());
+        let traced = engine.run_traced(&RunConfig::default(), None, Some(&solo_sink));
+        assert!(solo.kernels.bitmap > 0);
+        assert_eq!(traced.states, solo.states);
+        assert_eq!(traced.kernels, solo.kernels);
+        let handles: Vec<_> = [Scheduler::Sequential, Scheduler::work_stealing(2)]
+            .into_iter()
+            .enumerate()
+            .map(|(thread, scheduler)| {
+                let engine = Arc::clone(&engine);
+                std::thread::spawn(move || {
+                    (0..50)
+                        .map(|_| {
+                            let config = RunConfig::new(scheduler);
+                            if thread == 0 {
+                                let sink = TraceSink::new(engine.plan().num_positions());
+                                let outcome = engine.run_traced(&config, None, Some(&sink));
+                                let observed =
+                                    (sink.candidates_per_position(), sink.states_per_position());
+                                (outcome, Some(observed))
+                            } else {
+                                (engine.run(&config), None)
+                            }
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (outcome, observed) in handle.join().unwrap() {
+                assert_eq!(outcome.matches, solo.matches);
+                assert_eq!(outcome.states, solo.states);
+                assert_eq!(outcome.kernels, solo.kernels);
+                if let Some((candidates, states)) = observed {
+                    assert_eq!(candidates, solo_sink.candidates_per_position());
+                    assert_eq!(states, solo_sink.states_per_position());
+                    assert_eq!(states.iter().sum::<u64>(), solo.states);
+                }
+            }
         }
     }
 }

@@ -11,12 +11,13 @@
 
 use sge_engine::{Engine, RunConfig, Scheduler};
 use sge_ri::Algorithm;
+use std::sync::Arc;
 
 #[test]
 fn streaming_never_drops_matches_under_work_stealing() {
-    let pattern = sge_graph::generators::directed_cycle(3, 0);
-    let target = sge_graph::generators::clique(5, 0); // 60 embeddings
-    let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+    let pattern = Arc::new(sge_graph::generators::directed_cycle(3, 0));
+    let target = Arc::new(sge_graph::generators::clique(5, 0)); // 60 embeddings
+    let engine = Engine::prepare(pattern, target, Algorithm::RiDsSiFc);
     let reference = engine.run(&RunConfig::new(Scheduler::work_stealing(2)));
     assert_eq!(reference.matches, 60);
     for trial in 0..300 {

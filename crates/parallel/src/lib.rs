@@ -15,15 +15,16 @@
 //!
 //! Two ablation schedulers are also provided:
 //!
-//! * [`no_stealing`] — the same initial distribution with stealing disabled
-//!   (the "no work stealing" baseline of Fig. 3),
+//! * [`ParallelConfig::with_stealing`]`(false)` — the same initial
+//!   distribution with stealing disabled (the "no work stealing" baseline of
+//!   Fig. 3),
 //! * [`rayon_pool`] — first-level dynamic parallelism over the root
 //!   candidates, each expanded with the sequential matcher (what you get "for
 //!   free" from a library scheduler such as rayon; useful to quantify what
 //!   the paper's bespoke scheme adds).
 //!
-//! Every scheduler accepts a prepared [`sge_ri::SearchContext`] through the
-//! `*_prepared` entry points, so preprocessing is paid once per instance no
+//! Every scheduler takes a prepared [`sge_ri::SearchContext`] through its
+//! `*_prepared` entry point, so preprocessing is paid once per instance no
 //! matter how many runs are executed — this is what the unified `sge::Engine`
 //! builds on.
 //!
@@ -31,13 +32,15 @@
 //!
 //! ```
 //! use sge_graph::generators;
-//! use sge_parallel::{enumerate_parallel, ParallelConfig};
-//! use sge_ri::Algorithm;
+//! use sge_parallel::{enumerate_prepared, ParallelConfig};
+//! use sge_ri::{Algorithm, CandidateMode, Planner, SearchContext};
 //!
 //! let pattern = generators::directed_cycle(3, 0);
 //! let target = generators::clique(5, 0);
-//! let config = ParallelConfig::new(Algorithm::RiDsSiFc).with_workers(4);
-//! let result = enumerate_parallel(&pattern, &target, &config);
+//! let plan = Planner::default().plan(&pattern, &target, Algorithm::RiDsSiFc);
+//! let ctx = SearchContext::new(&pattern, &target, &plan, CandidateMode::default(), None, None);
+//! let config = ParallelConfig::default().with_workers(4);
+//! let result = enumerate_prepared(&ctx, &config, None);
 //! assert_eq!(result.matches, 60);
 //! ```
 
@@ -49,7 +52,5 @@ pub mod rayon_pool;
 pub mod runner;
 
 pub use problem::SubgraphProblem;
-pub use rayon_pool::{enumerate_rayon, enumerate_rayon_prepared};
-pub use runner::{
-    enumerate_parallel, enumerate_prepared, no_stealing, ParallelConfig, ParallelResult,
-};
+pub use rayon_pool::enumerate_rayon_prepared;
+pub use runner::{enumerate_prepared, ParallelConfig, ParallelResult};

@@ -98,17 +98,25 @@ impl BacktrackProblem for SubgraphProblem<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sge_graph::generators;
-    use sge_ri::Algorithm;
+    use sge_graph::{generators, Graph};
+    use sge_ri::{search_prepared, Algorithm, CandidateMode, Planner, QueryPlan, SearchLimits};
     use sge_stealing::{run, EngineConfig};
+
+    fn context<'a>(
+        pattern: &'a Graph,
+        target: &'a Graph,
+        plan: &'a QueryPlan,
+    ) -> SearchContext<'a> {
+        SearchContext::new(pattern, target, plan, CandidateMode::default(), None, None)
+    }
 
     #[test]
     fn problem_counts_match_sequential() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(5, 0);
-        let sequential =
-            sge_ri::enumerate(&pattern, &target, &sge_ri::MatchConfig::new(Algorithm::Ri));
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
+        let plan = Planner::default().plan(&pattern, &target, Algorithm::Ri);
+        let ctx = context(&pattern, &target, &plan);
+        let sequential = search_prepared(&ctx, &SearchLimits::default(), |_, _| {});
         let problem = SubgraphProblem::new(&ctx);
         let result = run(&problem, &EngineConfig::with_workers(2));
         assert_eq!(result.solutions, sequential.matches);
@@ -119,7 +127,8 @@ mod tests {
     fn collection_gathers_valid_mappings() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(4, 0);
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::RiDs);
+        let plan = Planner::default().plan(&pattern, &target, Algorithm::RiDs);
+        let ctx = context(&pattern, &target, &plan);
         let problem = SubgraphProblem::new(&ctx).with_collection(5);
         let result = run(&problem, &EngineConfig::with_workers(3));
         assert_eq!(result.solutions, 24);

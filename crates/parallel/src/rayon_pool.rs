@@ -19,10 +19,10 @@
 //! of the reproduction of any specific figure.
 
 use crate::runner::{ParallelConfig, ParallelResult};
-use sge_graph::{Graph, NodeId};
-use sge_ri::{Algorithm, CollectingVisitor, MatchVisitor, SearchContext, WorkerState};
+use sge_graph::NodeId;
+use sge_ri::{CollectingVisitor, MatchVisitor, SearchContext, WorkerState};
 use sge_stealing::WorkerStats;
-use sge_util::{MatchBudget, PhaseTimer};
+use sge_util::MatchBudget;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -156,8 +156,7 @@ impl Explorer<'_, '_> {
 }
 
 /// Runs the first-level dynamic scheduler over an already-prepared
-/// [`SearchContext`] (preprocessing is not re-paid; `preprocess_seconds` is
-/// 0).  Honors `workers`, `max_matches`, `time_limit` and `collect_limit`
+/// [`SearchContext`] (preprocessing is not re-paid).  Honors `workers`, `max_matches`, `time_limit` and `collect_limit`
 /// from `config`; `task_group_size`, `steal_enabled` and `seed` do not apply
 /// to this scheduler.  Steal counters in the result are always 0.
 pub fn enumerate_rayon_prepared(
@@ -263,39 +262,48 @@ pub fn enumerate_rayon_prepared(
     result
 }
 
-/// Enumerates embeddings with the first-level dynamic pool: root candidates
-/// are claimed by `workers` threads, each subtree is searched sequentially.
-///
-/// Thin shim over [`SearchContext::prepare`] + [`enumerate_rayon_prepared`].
-pub fn enumerate_rayon(
-    pattern: &Graph,
-    target: &Graph,
-    algorithm: Algorithm,
-    workers: usize,
-) -> ParallelResult {
-    let mut timer = PhaseTimer::new();
-    let ctx = timer.time("preprocess", || {
-        SearchContext::prepare(pattern, target, algorithm)
-    });
-    let config = ParallelConfig::new(algorithm).with_workers(workers);
-    let mut result = enumerate_rayon_prepared(&ctx, &config, None);
-    result.preprocess_seconds = timer.seconds("preprocess");
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sge_graph::generators;
-    use sge_ri::MatchConfig;
+    use sge_graph::{generators, Graph};
+    use sge_ri::{search_prepared, Algorithm, CandidateMode, Planner, QueryPlan, SearchLimits};
     use std::time::Duration;
+
+    fn plan(pattern: &Graph, target: &Graph, algorithm: Algorithm) -> QueryPlan {
+        Planner::default().plan(pattern, target, algorithm)
+    }
+
+    fn context<'a>(
+        pattern: &'a Graph,
+        target: &'a Graph,
+        plan: &'a QueryPlan,
+    ) -> SearchContext<'a> {
+        SearchContext::new(pattern, target, plan, CandidateMode::default(), None, None)
+    }
+
+    /// Plans `algorithm` and runs the first-level pool once on `workers`.
+    fn enumerate_rayon(
+        pattern: &Graph,
+        target: &Graph,
+        algorithm: Algorithm,
+        workers: usize,
+    ) -> ParallelResult {
+        let plan = plan(pattern, target, algorithm);
+        let config = ParallelConfig::default().with_workers(workers);
+        enumerate_rayon_prepared(&context(pattern, target, &plan), &config, None)
+    }
 
     #[test]
     fn rayon_counts_match_sequential() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(6, 0);
         for algorithm in [Algorithm::Ri, Algorithm::RiDsSiFc] {
-            let sequential = sge_ri::enumerate(&pattern, &target, &MatchConfig::new(algorithm));
+            let plan = plan(&pattern, &target, algorithm);
+            let sequential = search_prepared(
+                &context(&pattern, &target, &plan),
+                &SearchLimits::default(),
+                |_, _| {},
+            );
             let result = enumerate_rayon(&pattern, &target, algorithm, 2);
             assert_eq!(result.matches, sequential.matches, "{algorithm}");
             assert_eq!(result.states, sequential.states, "{algorithm}");
@@ -324,9 +332,10 @@ mod tests {
     fn rayon_respects_max_matches() {
         let pattern = generators::directed_path(2, 0);
         let target = generators::clique(10, 0); // 90 embeddings
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
+        let plan = plan(&pattern, &target, Algorithm::Ri);
+        let ctx = context(&pattern, &target, &plan);
         for workers in [1usize, 3] {
-            let config = ParallelConfig::new(Algorithm::Ri)
+            let config = ParallelConfig::default()
                 .with_workers(workers)
                 .with_max_matches(11);
             let result = enumerate_rayon_prepared(&ctx, &config, None);
@@ -339,8 +348,9 @@ mod tests {
     fn rayon_collects_sorted_mappings() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(4, 0); // 24 embeddings
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::RiDs);
-        let config = ParallelConfig::new(Algorithm::RiDs)
+        let plan = plan(&pattern, &target, Algorithm::RiDs);
+        let ctx = context(&pattern, &target, &plan);
+        let config = ParallelConfig::default()
             .with_workers(3)
             .with_collected_mappings(100);
         let result = enumerate_rayon_prepared(&ctx, &config, None);
@@ -362,16 +372,13 @@ mod tests {
     fn rayon_time_limit_is_reported() {
         let pattern = generators::undirected_cycle(6, 0);
         let target = generators::grid(5, 5);
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
-        let config = ParallelConfig::new(Algorithm::Ri)
+        let plan = plan(&pattern, &target, Algorithm::Ri);
+        let ctx = context(&pattern, &target, &plan);
+        let config = ParallelConfig::default()
             .with_workers(2)
             .with_time_limit(Duration::from_millis(1));
         let limited = enumerate_rayon_prepared(&ctx, &config, None);
-        let full = enumerate_rayon_prepared(
-            &ctx,
-            &ParallelConfig::new(Algorithm::Ri).with_workers(2),
-            None,
-        );
+        let full = enumerate_rayon_prepared(&ctx, &ParallelConfig::default().with_workers(2), None);
         if limited.timed_out {
             assert!(limited.matches <= full.matches);
         } else {

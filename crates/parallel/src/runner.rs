@@ -1,18 +1,16 @@
 //! High-level parallel enumeration API.
 
 use crate::problem::SubgraphProblem;
-use sge_graph::{Graph, NodeId};
+use sge_graph::NodeId;
 use sge_ri::{Algorithm, MatchVisitor, SearchContext};
 use sge_stealing::{run, EngineConfig, WorkerStats};
-use sge_util::{CancelToken, PhaseTimer};
+use sge_util::CancelToken;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Configuration of a parallel enumeration run.
 #[derive(Clone, Debug)]
 pub struct ParallelConfig {
-    /// Which member of the RI family performs the search.
-    pub algorithm: Algorithm,
     /// Number of worker threads (the paper sweeps 1, 2, 4, 8, 16).
     ///
     /// Under planner-routed scheduling this is *sized from the corrected
@@ -42,12 +40,11 @@ pub struct ParallelConfig {
     pub seed: u64,
 }
 
-impl ParallelConfig {
-    /// Default parallel configuration: all available cores, task groups of 4,
-    /// stealing enabled, no match or time limit.
-    pub fn new(algorithm: Algorithm) -> Self {
+impl Default for ParallelConfig {
+    /// All available cores, task groups of 4, stealing enabled, no match or
+    /// time limit.
+    fn default() -> Self {
         ParallelConfig {
-            algorithm,
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
@@ -60,7 +57,9 @@ impl ParallelConfig {
             seed: 0xC0FF_EE00,
         }
     }
+}
 
+impl ParallelConfig {
     /// Sets the number of workers.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
@@ -115,9 +114,6 @@ pub struct ParallelResult {
     pub matches: u64,
     /// Total states visited across all workers.
     pub states: u64,
-    /// Preprocessing time (domains + ordering) in seconds; `0.0` when the run
-    /// reused an externally prepared [`SearchContext`].
-    pub preprocess_seconds: f64,
     /// Matching (parallel search) wall-clock time in seconds.
     pub match_seconds: f64,
     /// Whether the time limit cut the search short.
@@ -148,7 +144,6 @@ impl ParallelResult {
             workers,
             matches: 0,
             states: 0,
-            preprocess_seconds: 0.0,
             match_seconds: 0.0,
             timed_out: false,
             limit_hit: false,
@@ -159,11 +154,6 @@ impl ParallelResult {
             worker_stats: Vec::new(),
             mappings: Vec::new(),
         }
-    }
-
-    /// Total time (preprocessing + matching).
-    pub fn total_seconds(&self) -> f64 {
-        self.preprocess_seconds + self.match_seconds
     }
 
     /// States visited per second of matching time.
@@ -202,11 +192,10 @@ pub(crate) fn empty_pattern_outcome(
 
 /// Runs the work-stealing scheduler over an already-prepared
 /// [`SearchContext`] — the prepared-artifact entry point the unified
-/// `sge::Engine` builds on.  Preprocessing cost is *not* re-paid here;
-/// `result.preprocess_seconds` is 0.
+/// `sge::Engine` builds on.  Preprocessing cost is *not* re-paid here.
 ///
-/// `config.algorithm` is ignored in favor of the context's algorithm.  When
-/// `visitor` is given it observes every match from whichever worker found it.
+/// The algorithm is the context's.  When `visitor` is given it observes
+/// every match from whichever worker found it.
 pub fn enumerate_prepared(
     ctx: &SearchContext<'_>,
     config: &ParallelConfig,
@@ -271,42 +260,42 @@ pub fn enumerate_prepared(
     result
 }
 
-/// Enumerates all embeddings of `pattern` in `target` with the private-deque
-/// work-stealing scheduler (parallel RI / parallel RI-DS / parallel
-/// RI-DS-SI-FC, depending on `config.algorithm`).
-///
-/// Thin shim over [`SearchContext::prepare`] + [`enumerate_prepared`];
-/// callers that run the same instance repeatedly should prepare once (or use
-/// `sge::Engine`) to amortize preprocessing.
-pub fn enumerate_parallel(
-    pattern: &Graph,
-    target: &Graph,
-    config: &ParallelConfig,
-) -> ParallelResult {
-    let mut timer = PhaseTimer::new();
-    let ctx = timer.time("preprocess", || {
-        SearchContext::prepare(pattern, target, config.algorithm)
-    });
-    let mut result = enumerate_prepared(&ctx, config, None);
-    result.preprocess_seconds = timer.seconds("preprocess");
-    result
-}
-
-/// Convenience wrapper: the same initial distribution with stealing disabled —
-/// the "no work stealing" baseline of Fig. 3.
-pub fn no_stealing(pattern: &Graph, target: &Graph, config: &ParallelConfig) -> ParallelResult {
-    let config = config.clone().with_stealing(false);
-    enumerate_parallel(pattern, target, &config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sge_graph::generators;
-    use sge_ri::MatchConfig;
+    use sge_graph::{generators, Graph};
+    use sge_ri::{search_prepared, CandidateMode, Planner, QueryPlan, SearchLimits};
+
+    fn plan(pattern: &Graph, target: &Graph, algorithm: Algorithm) -> QueryPlan {
+        Planner::default().plan(pattern, target, algorithm)
+    }
+
+    fn context<'a>(
+        pattern: &'a Graph,
+        target: &'a Graph,
+        plan: &'a QueryPlan,
+    ) -> SearchContext<'a> {
+        SearchContext::new(pattern, target, plan, CandidateMode::default(), None, None)
+    }
+
+    /// Plans `algorithm` and runs the work-stealing scheduler once.
+    fn enumerate(
+        pattern: &Graph,
+        target: &Graph,
+        algorithm: Algorithm,
+        config: &ParallelConfig,
+    ) -> ParallelResult {
+        let plan = plan(pattern, target, algorithm);
+        enumerate_prepared(&context(pattern, target, &plan), config, None)
+    }
 
     fn sequential_matches(pattern: &Graph, target: &Graph, algorithm: Algorithm) -> (u64, u64) {
-        let r = sge_ri::enumerate(pattern, target, &MatchConfig::new(algorithm));
+        let plan = plan(pattern, target, algorithm);
+        let r = search_prepared(
+            &context(pattern, target, &plan),
+            &SearchLimits::default(),
+            |_, _| {},
+        );
         (r.matches, r.states)
     }
 
@@ -317,8 +306,8 @@ mod tests {
         for algorithm in Algorithm::ALL {
             let (matches, states) = sequential_matches(&pattern, &target, algorithm);
             for workers in [1usize, 2, 4] {
-                let config = ParallelConfig::new(algorithm).with_workers(workers);
-                let result = enumerate_parallel(&pattern, &target, &config);
+                let config = ParallelConfig::default().with_workers(workers);
+                let result = enumerate(&pattern, &target, algorithm, &config);
                 assert_eq!(result.matches, matches, "{algorithm} workers={workers}");
                 assert_eq!(result.states, states, "{algorithm} workers={workers}");
                 assert!(!result.timed_out);
@@ -330,14 +319,14 @@ mod tests {
     fn prepared_context_is_reusable_across_runs() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(6, 0);
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+        let plan = plan(&pattern, &target, Algorithm::RiDsSiFc);
+        let ctx = context(&pattern, &target, &plan);
         let (matches, states) = sequential_matches(&pattern, &target, Algorithm::RiDsSiFc);
         for workers in [1usize, 2, 3] {
-            let config = ParallelConfig::new(Algorithm::RiDsSiFc).with_workers(workers);
+            let config = ParallelConfig::default().with_workers(workers);
             let result = enumerate_prepared(&ctx, &config, None);
             assert_eq!(result.matches, matches, "workers={workers}");
             assert_eq!(result.states, states, "workers={workers}");
-            assert_eq!(result.preprocess_seconds, 0.0);
         }
     }
 
@@ -347,10 +336,10 @@ mod tests {
         let target = generators::clique(6, 0);
         let (matches, _) = sequential_matches(&pattern, &target, Algorithm::RiDsSiFc);
         for group_size in [1usize, 2, 4, 8, 16] {
-            let config = ParallelConfig::new(Algorithm::RiDsSiFc)
+            let config = ParallelConfig::default()
                 .with_workers(3)
                 .with_task_group_size(group_size);
-            let result = enumerate_parallel(&pattern, &target, &config);
+            let result = enumerate(&pattern, &target, Algorithm::RiDsSiFc, &config);
             assert_eq!(result.matches, matches, "group_size={group_size}");
         }
     }
@@ -360,8 +349,10 @@ mod tests {
         let pattern = generators::undirected_path(3, 0);
         let target = generators::grid(3, 4);
         let (matches, states) = sequential_matches(&pattern, &target, Algorithm::Ri);
-        let config = ParallelConfig::new(Algorithm::Ri).with_workers(4);
-        let result = no_stealing(&pattern, &target, &config);
+        let config = ParallelConfig::default()
+            .with_workers(4)
+            .with_stealing(false);
+        let result = enumerate(&pattern, &target, Algorithm::Ri, &config);
         assert_eq!(result.matches, matches);
         assert_eq!(result.states, states);
         assert_eq!(result.steals, 0);
@@ -373,8 +364,8 @@ mod tests {
         pb.add_node(77);
         let pattern = pb.build();
         let target = generators::clique(5, 0);
-        let config = ParallelConfig::new(Algorithm::RiDsSiFc).with_workers(2);
-        let result = enumerate_parallel(&pattern, &target, &config);
+        let config = ParallelConfig::default().with_workers(2);
+        let result = enumerate(&pattern, &target, Algorithm::RiDsSiFc, &config);
         assert_eq!(result.matches, 0);
         assert_eq!(result.states, 0);
     }
@@ -383,8 +374,8 @@ mod tests {
     fn empty_pattern_has_one_match() {
         let pattern = sge_graph::GraphBuilder::new().build();
         let target = generators::clique(4, 0);
-        let config = ParallelConfig::new(Algorithm::Ri).with_workers(2);
-        let result = enumerate_parallel(&pattern, &target, &config);
+        let config = ParallelConfig::default().with_workers(2);
+        let result = enumerate(&pattern, &target, Algorithm::Ri, &config);
         assert_eq!(result.matches, 1);
     }
 
@@ -394,10 +385,10 @@ mod tests {
         let pattern = generators::directed_path(2, 0);
         let target = generators::clique(12, 0);
         for workers in [1usize, 2, 4] {
-            let config = ParallelConfig::new(Algorithm::Ri)
+            let config = ParallelConfig::default()
                 .with_workers(workers)
                 .with_max_matches(17);
-            let result = enumerate_parallel(&pattern, &target, &config);
+            let result = enumerate(&pattern, &target, Algorithm::Ri, &config);
             assert_eq!(result.matches, 17, "workers={workers}");
             assert!(result.limit_hit);
         }
@@ -407,10 +398,10 @@ mod tests {
     fn collected_mappings_are_embeddings_and_sorted() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(5, 0);
-        let config = ParallelConfig::new(Algorithm::RiDs)
+        let config = ParallelConfig::default()
             .with_workers(3)
             .with_collected_mappings(7);
-        let result = enumerate_parallel(&pattern, &target, &config);
+        let result = enumerate(&pattern, &target, Algorithm::RiDs, &config);
         assert_eq!(result.mappings.len(), 7);
         let mut sorted = result.mappings.clone();
         sorted.sort_unstable();
@@ -430,19 +421,21 @@ mod tests {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(5, 0);
         // 60 matches; collect them all under several schedules.
-        let reference = enumerate_parallel(
+        let reference = enumerate(
             &pattern,
             &target,
-            &ParallelConfig::new(Algorithm::Ri)
+            Algorithm::Ri,
+            &ParallelConfig::default()
                 .with_workers(1)
                 .with_collected_mappings(100),
         );
         assert_eq!(reference.mappings.len(), 60);
         for workers in [2usize, 4] {
-            let result = enumerate_parallel(
+            let result = enumerate(
                 &pattern,
                 &target,
-                &ParallelConfig::new(Algorithm::Ri)
+                Algorithm::Ri,
+                &ParallelConfig::default()
                     .with_workers(workers)
                     .with_collected_mappings(100),
             );
@@ -454,9 +447,9 @@ mod tests {
     fn result_accessors_are_consistent() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(5, 0);
-        let config = ParallelConfig::new(Algorithm::Ri).with_workers(2);
-        let result = enumerate_parallel(&pattern, &target, &config);
-        assert!(result.total_seconds() >= result.match_seconds);
+        let config = ParallelConfig::default().with_workers(2);
+        let result = enumerate(&pattern, &target, Algorithm::Ri, &config);
+        assert!(result.match_seconds >= 0.0);
         assert!(result.states_per_second() >= 0.0);
         assert_eq!(
             result.worker_stats.iter().map(|w| w.states).sum::<u64>(),
@@ -468,10 +461,10 @@ mod tests {
     fn time_limit_is_respected() {
         let pattern = generators::undirected_cycle(6, 0);
         let target = generators::grid(5, 5);
-        let config = ParallelConfig::new(Algorithm::Ri)
+        let config = ParallelConfig::default()
             .with_workers(2)
             .with_time_limit(Duration::from_millis(1));
-        let result = enumerate_parallel(&pattern, &target, &config);
+        let result = enumerate(&pattern, &target, Algorithm::Ri, &config);
         // Either it finished very quickly or it was cut off.
         let full = sequential_matches(&pattern, &target, Algorithm::Ri).0;
         if result.timed_out {

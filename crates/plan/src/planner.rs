@@ -8,6 +8,7 @@ use crate::strategy::{PlanningInput, Strategy};
 use sge_graph::{Graph, GraphStats, NodeId};
 use sge_util::Bitset;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The self-contained outcome of planning one enumeration instance.
 ///
@@ -41,12 +42,26 @@ pub struct QueryPlan {
     /// shard's owned-node set so the union of per-shard enumerations is an
     /// exact, overlap-free partition of the match set.
     pub root_filter: Option<Arc<Bitset>>,
+    /// Wall-clock seconds the planner spent building this plan (domains,
+    /// forward checking, ordering, cost estimation) — the preprocessing
+    /// cost an engine built from the plan reports.
+    pub plan_seconds: f64,
 }
 
 impl QueryPlan {
     /// Number of positions (= pattern nodes).
     pub fn num_positions(&self) -> usize {
         self.order.len()
+    }
+
+    /// `true` when at least one position is routed to the bitmap kernel —
+    /// the plan can use a target bitmap sidecar.
+    pub fn uses_bitmap_kernel(&self) -> bool {
+        self.order
+            .plan
+            .steps
+            .iter()
+            .any(|step| step.kernel == KernelChoice::Bitmap)
     }
 }
 
@@ -96,6 +111,7 @@ impl Planner {
         target_stats: &GraphStats,
         algorithm: Algorithm,
     ) -> QueryPlan {
+        let started = Instant::now();
         let mut impossible = false;
         let domains = if algorithm.uses_domains() {
             let mut domains = Domains::compute(pattern, target);
@@ -126,6 +142,7 @@ impl Planner {
             check_degrees: !algorithm.uses_domains(),
             cost,
             root_filter: None,
+            plan_seconds: started.elapsed().as_secs_f64(),
         }
     }
 
@@ -146,6 +163,7 @@ impl Planner {
         root: NodeId,
         root_filter: Option<Arc<Bitset>>,
     ) -> QueryPlan {
+        let started = Instant::now();
         let mut impossible = false;
         let domains = if algorithm.uses_domains() {
             let mut domains = Domains::compute(pattern, target);
@@ -171,6 +189,7 @@ impl Planner {
             check_degrees: !algorithm.uses_domains(),
             cost,
             root_filter,
+            plan_seconds: started.elapsed().as_secs_f64(),
         }
     }
 }

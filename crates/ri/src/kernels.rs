@@ -79,33 +79,22 @@ impl KernelUsage {
         self.prefilter_rejected += other.prefilter_rejected;
     }
 
-    /// Field-wise saturating difference (`self - earlier`), for deriving the
-    /// usage of one run from two snapshots of shared cells.
-    pub fn since(&self, earlier: &KernelUsage) -> KernelUsage {
-        KernelUsage {
-            bitmap: self.bitmap.saturating_sub(earlier.bitmap),
-            gallop: self.gallop.saturating_sub(earlier.gallop),
-            merge: self.merge.saturating_sub(earlier.merge),
-            prefilter_rejected: self
-                .prefilter_rejected
-                .saturating_sub(earlier.prefilter_rejected),
-        }
-    }
-
     /// Total kernel invocations across all three paths.
     pub fn intersections(&self) -> u64 {
         self.bitmap + self.gallop + self.merge
     }
 }
 
-/// Shared atomic kernel counters, updated by every worker driving one
-/// [`crate::SearchContext`] and snapshotted by the engine into
-/// `engine.kernel.*` metrics.
+/// One run's atomic kernel counters, updated by every worker driving that
+/// run's [`crate::SearchContext`] and snapshotted by the engine into the
+/// run's outcome.
 ///
 /// Workers accumulate locally per candidate fill and flush once, so the cost
 /// is a handful of relaxed adds per fill — the same order as the optional
-/// trace sink.
+/// trace sink.  The cells sit on a cache line of their own, so flushes never
+/// invalidate the read-only fields of the context that embeds them.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 pub struct KernelCells {
     bitmap: AtomicU64,
     gallop: AtomicU64,
@@ -563,15 +552,6 @@ mod tests {
         assert_eq!(snap.merge, 5);
         assert_eq!(snap.prefilter_rejected, 7);
         assert_eq!(snap.intersections(), 11);
-        let earlier = KernelUsage {
-            bitmap: 1,
-            gallop: 1,
-            merge: 1,
-            prefilter_rejected: 1,
-        };
-        let delta = snap.since(&earlier);
-        assert_eq!(delta.bitmap, 2);
-        assert_eq!(delta.intersections(), 8);
     }
 
     /// Deterministic xorshift for the random cross-kernel property test.

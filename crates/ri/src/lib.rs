@@ -20,9 +20,10 @@
 //! Since the planning extraction, this crate is a **pure executor**: node
 //! ordering, domain computation and the cost model live in `sge-plan`
 //! (re-exported here for compatibility), and a [`search::SearchContext`] is
-//! built from a `sge_plan::QueryPlan` — either one the caller planned
-//! explicitly (choosing a `sge_plan::Strategy`) or the default RI-greedy
-//! plan produced by [`search::SearchContext::prepare`].
+//! a cheap per-run view of a `sge_plan::QueryPlan` planned by a
+//! `sge_plan::Planner`.  Most callers never build one directly: the
+//! `sge-engine` crate's `Engine` owns the graphs and the plan and builds a
+//! context for every run.
 //!
 //! The [`search::SearchContext`] type exposes the candidate generation and
 //! consistency checking machinery in a form that the parallel runtime
@@ -33,13 +34,15 @@
 //!
 //! ```
 //! use sge_graph::generators;
-//! use sge_ri::{enumerate, Algorithm, MatchConfig};
+//! use sge_ri::{search_prepared, Algorithm, CandidateMode, Planner, SearchContext, SearchLimits};
 //!
 //! // Find all directed 3-cycles in a 4-clique.
 //! let pattern = generators::directed_cycle(3, 0);
 //! let target = generators::clique(4, 0);
-//! let result = enumerate(&pattern, &target, &MatchConfig::new(Algorithm::Ri));
-//! assert_eq!(result.matches, 24);
+//! let plan = Planner::default().plan(&pattern, &target, Algorithm::Ri);
+//! let ctx = SearchContext::new(&pattern, &target, &plan, CandidateMode::default(), None, None);
+//! let run = search_prepared(&ctx, &SearchLimits::default(), |_, _| {});
+//! assert_eq!(run.matches, 24);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,11 +61,8 @@ pub use kernels::{
     assert_kernel_parity, check_kernel_parity, intersect_gallop, intersect_reference, KernelCells,
     KernelDivergence, KernelUsage,
 };
-pub use matcher::{
-    enumerate, enumerate_with, search_prepared, Algorithm, MatchConfig, MatchResult, SearchLimits,
-    SearchRun,
-};
-pub use search::{CandidateMode, PreparedParts, SearchContext, WorkerState};
+pub use matcher::{search_prepared, Algorithm, SearchLimits, SearchRun};
+pub use search::{CandidateMode, SearchContext, WorkerState};
 pub use sge_plan::{
     greatest_constraint_first, CandidatePlan, Domains, EdgeConstraint, KernelChoice, MatchOrder,
     ParentLink, PlanStep, Planner, QueryPlan, Strategy,

@@ -1,14 +1,14 @@
 //! The sequential enumeration driver.
 //!
-//! [`enumerate`] runs the full pipeline — preprocessing (domains + ordering)
-//! followed by the depth-first search — and reports the quantities the paper's
-//! evaluation is built on: match count, *search space size* (number of states
-//! visited, i.e. consistency checks performed), preprocessing / matching /
-//! total time, and whether a time limit was hit.
+//! [`search_prepared`] runs the depth-first search over a prepared
+//! [`SearchContext`] and reports the quantities the paper's evaluation is
+//! built on: match count, *search space size* (number of states visited,
+//! i.e. consistency checks performed), matching time, and whether a time
+//! limit, match limit or cancellation stopped it.
 
 use crate::search::{SearchContext, WorkerState};
-use sge_graph::{Graph, NodeId};
-use sge_util::{CancelToken, PhaseTimer};
+use sge_graph::NodeId;
+use sge_util::CancelToken;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,99 +16,6 @@ use std::time::{Duration, Instant};
 // preprocessing machinery; re-exported here so `sge_ri::Algorithm` and
 // `sge_ri::matcher::Algorithm` keep working.
 pub use sge_plan::Algorithm;
-
-/// Configuration of one enumeration run.
-#[derive(Clone, Debug)]
-pub struct MatchConfig {
-    /// Algorithm variant.
-    pub algorithm: Algorithm,
-    /// Stop after this many matches (`None` = enumerate all).
-    pub max_matches: Option<u64>,
-    /// Wall-clock budget for the *matching* phase; exceeding it sets
-    /// [`MatchResult::timed_out`] (the paper uses a 180 s limit).
-    pub time_limit: Option<Duration>,
-    /// Record the first `collect_limit` full mappings in the result.
-    pub collect_limit: usize,
-}
-
-impl MatchConfig {
-    /// Default configuration for an algorithm: enumerate everything, no time
-    /// limit, do not collect mappings.
-    pub fn new(algorithm: Algorithm) -> Self {
-        MatchConfig {
-            algorithm,
-            max_matches: None,
-            time_limit: None,
-            collect_limit: 0,
-        }
-    }
-
-    /// Sets a match-count limit.
-    pub fn with_max_matches(mut self, limit: u64) -> Self {
-        self.max_matches = Some(limit);
-        self
-    }
-
-    /// Sets the matching-phase time limit.
-    pub fn with_time_limit(mut self, limit: Duration) -> Self {
-        self.time_limit = Some(limit);
-        self
-    }
-
-    /// Collects up to `limit` full mappings in the result.
-    pub fn with_collected_mappings(mut self, limit: usize) -> Self {
-        self.collect_limit = limit;
-        self
-    }
-
-    /// The search-phase knobs of this configuration, for prepared runs.
-    pub fn limits(&self) -> SearchLimits {
-        SearchLimits {
-            max_matches: self.max_matches,
-            time_limit: self.time_limit,
-            cancel: None,
-            count_only: false,
-        }
-    }
-}
-
-/// Outcome of one enumeration run.
-#[derive(Clone, Debug)]
-pub struct MatchResult {
-    /// Algorithm that produced this result.
-    pub algorithm: Algorithm,
-    /// Number of isomorphic (non-induced) subgraphs found.
-    pub matches: u64,
-    /// Search space size: number of states visited, i.e. `(position,
-    /// candidate)` pairs for which a consistency check ran.
-    pub states: u64,
-    /// Preprocessing time in seconds (domain assignment + ordering).
-    pub preprocess_seconds: f64,
-    /// Matching (search) time in seconds.
-    pub match_seconds: f64,
-    /// Whether the time limit interrupted the search (counts are then lower
-    /// bounds).
-    pub timed_out: bool,
-    /// Collected mappings (`pattern node -> target node`), at most
-    /// `collect_limit` of them.
-    pub mappings: Vec<Vec<NodeId>>,
-}
-
-impl MatchResult {
-    /// Total time (preprocessing + matching) in seconds.
-    pub fn total_seconds(&self) -> f64 {
-        self.preprocess_seconds + self.match_seconds
-    }
-
-    /// States visited per second of matching time.
-    pub fn states_per_second(&self) -> f64 {
-        if self.match_seconds > 0.0 {
-            self.states as f64 / self.match_seconds
-        } else {
-            0.0
-        }
-    }
-}
 
 /// Search-phase knobs of one prepared run — everything *except* the
 /// preprocessing choices, which are fixed once a [`SearchContext`] exists.
@@ -133,7 +40,7 @@ pub struct SearchLimits {
 }
 
 /// Raw outcome of one prepared sequential search (no preprocessing figures —
-/// preprocessing happened when the [`SearchContext`] was built).
+/// preprocessing happened when the context's plan was built).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SearchRun {
     /// Number of embeddings found.
@@ -257,8 +164,8 @@ impl<'a, F: FnMut(&SearchContext<'a>, &WorkerState)> SearchDriver<'a, F> {
 ///
 /// This is the prepared-artifact entry point the unified `sge::Engine` and
 /// the parallel runtime build on: preprocessing (domains, forward checking,
-/// GCF ordering) happened once when the context was built and is amortized
-/// across repeated calls.  An empty pattern has exactly one (empty)
+/// GCF ordering) happened once when the context's plan was built and is
+/// amortized across repeated calls.  An empty pattern has exactly one (empty)
 /// embedding; a context whose preprocessing proved infeasibility returns
 /// immediately with zero matches.
 pub fn search_prepared<F>(
@@ -327,58 +234,41 @@ where
     run
 }
 
-/// Enumerates all subgraphs of `target` isomorphic to `pattern` and invokes
-/// `visitor` for every match.
-///
-/// Thin shim over [`SearchContext::prepare`] + [`search_prepared`]; callers
-/// that run the same instance repeatedly should prepare once and call
-/// [`search_prepared`] (or use `sge::Engine`) to amortize preprocessing.
-pub fn enumerate_with<F>(
-    pattern: &Graph,
-    target: &Graph,
-    config: &MatchConfig,
-    visitor: F,
-) -> MatchResult
-where
-    F: FnMut(&SearchContext<'_>, &WorkerState),
-{
-    let mut timer = PhaseTimer::new();
-    let ctx = timer.time("preprocess", || {
-        SearchContext::prepare(pattern, target, config.algorithm)
-    });
-    let run = search_prepared(&ctx, &config.limits(), visitor);
-    MatchResult {
-        algorithm: config.algorithm,
-        matches: run.matches,
-        states: run.states,
-        preprocess_seconds: timer.seconds("preprocess"),
-        match_seconds: run.match_seconds,
-        timed_out: run.timed_out,
-        mappings: Vec::new(),
-    }
-}
-
-/// Enumerates all subgraphs of `target` isomorphic to `pattern`, optionally
-/// collecting mappings (see [`MatchConfig::with_collected_mappings`]).
-pub fn enumerate(pattern: &Graph, target: &Graph, config: &MatchConfig) -> MatchResult {
-    let mut collected: Vec<Vec<NodeId>> = Vec::new();
-    let limit = config.collect_limit;
-    let mut result = enumerate_with(pattern, target, config, |ctx, state| {
-        if collected.len() < limit {
-            collected.push(ctx.mapping_by_pattern_node(state));
-        }
-    });
-    result.mappings = collected;
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sge_graph::{generators, GraphBuilder};
+    use crate::search::CandidateMode;
+    use sge_graph::{generators, Graph, GraphBuilder};
+    use sge_plan::Planner;
+
+    /// Plans with the default strategy, then searches sequentially under
+    /// `limits`, collecting up to `collect` mappings.
+    fn run(
+        pattern: &Graph,
+        target: &Graph,
+        algorithm: Algorithm,
+        limits: &SearchLimits,
+        collect: usize,
+    ) -> (SearchRun, Vec<Vec<NodeId>>) {
+        let plan = Planner::default().plan(pattern, target, algorithm);
+        let ctx = SearchContext::new(pattern, target, &plan, CandidateMode::default(), None, None);
+        let mut mappings = Vec::new();
+        let run = search_prepared(&ctx, limits, |ctx, state| {
+            if mappings.len() < collect {
+                mappings.push(ctx.mapping_by_pattern_node(state));
+            }
+        });
+        (run, mappings)
+    }
 
     fn count(pattern: &Graph, target: &Graph, algorithm: Algorithm) -> u64 {
-        enumerate(pattern, target, &MatchConfig::new(algorithm)).matches
+        run(pattern, target, algorithm, &SearchLimits::default(), 0)
+            .0
+            .matches
+    }
+
+    fn states(pattern: &Graph, target: &Graph, algorithm: Algorithm) -> SearchRun {
+        run(pattern, target, algorithm, &SearchLimits::default(), 0).0
     }
 
     #[test]
@@ -506,19 +396,28 @@ mod tests {
     fn max_matches_truncates_enumeration() {
         let pattern = generators::directed_path(2, 0);
         let target = generators::clique(6, 0);
-        let config = MatchConfig::new(Algorithm::Ri).with_max_matches(5);
-        let result = enumerate(&pattern, &target, &config);
+        let limits = SearchLimits {
+            max_matches: Some(5),
+            ..SearchLimits::default()
+        };
+        let (result, _) = run(&pattern, &target, Algorithm::Ri, &limits, 0);
         assert_eq!(result.matches, 5);
+        assert!(result.limit_hit);
     }
 
     #[test]
     fn collected_mappings_are_valid_embeddings() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(4, 0);
-        let config = MatchConfig::new(Algorithm::RiDsSiFc).with_collected_mappings(10);
-        let result = enumerate(&pattern, &target, &config);
-        assert_eq!(result.mappings.len(), 10);
-        for mapping in &result.mappings {
+        let (_, mappings) = run(
+            &pattern,
+            &target,
+            Algorithm::RiDsSiFc,
+            &SearchLimits::default(),
+            10,
+        );
+        assert_eq!(mappings.len(), 10);
+        for mapping in &mappings {
             assert_eq!(mapping.len(), pattern.num_nodes());
             // Injective.
             let mut sorted = mapping.clone();
@@ -539,10 +438,9 @@ mod tests {
     fn search_space_is_reported_and_nonzero() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(5, 0);
-        let result = enumerate(&pattern, &target, &MatchConfig::new(Algorithm::Ri));
+        let result = states(&pattern, &target, Algorithm::Ri);
         assert!(result.states > 0);
-        assert!(result.total_seconds() >= 0.0);
-        assert!(result.states_per_second() >= 0.0);
+        assert!(result.match_seconds >= 0.0);
         assert!(!result.timed_out);
     }
 
@@ -552,9 +450,9 @@ mod tests {
         // space must not exceed RI-DS's.
         let pattern = generators::undirected_cycle(4, 0);
         let target = generators::grid(4, 4);
-        let ds = enumerate(&pattern, &target, &MatchConfig::new(Algorithm::RiDs));
-        let si = enumerate(&pattern, &target, &MatchConfig::new(Algorithm::RiDsSi));
-        let fc = enumerate(&pattern, &target, &MatchConfig::new(Algorithm::RiDsSiFc));
+        let ds = states(&pattern, &target, Algorithm::RiDs);
+        let si = states(&pattern, &target, Algorithm::RiDsSi);
+        let fc = states(&pattern, &target, Algorithm::RiDsSiFc);
         assert_eq!(ds.matches, si.matches);
         assert_eq!(ds.matches, fc.matches);
         assert!(
@@ -568,8 +466,11 @@ mod tests {
         // A 6-cycle in a 6x6 grid is enough work that a zero time limit fires.
         let pattern = generators::undirected_cycle(6, 0);
         let target = generators::grid(6, 6);
-        let config = MatchConfig::new(Algorithm::Ri).with_time_limit(Duration::from_nanos(1));
-        let result = enumerate(&pattern, &target, &config);
+        let limits = SearchLimits {
+            time_limit: Some(Duration::from_nanos(1)),
+            ..SearchLimits::default()
+        };
+        let (result, _) = run(&pattern, &target, Algorithm::Ri, &limits, 0);
         assert!(result.timed_out || result.match_seconds < 0.05);
     }
 
@@ -577,7 +478,15 @@ mod tests {
     fn cancel_token_stops_the_search_early() {
         let pattern = generators::directed_path(2, 0);
         let target = generators::clique(12, 0); // 132 embeddings
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
+        let plan = Planner::default().plan(&pattern, &target, Algorithm::Ri);
+        let ctx = SearchContext::new(
+            &pattern,
+            &target,
+            &plan,
+            CandidateMode::default(),
+            None,
+            None,
+        );
         let cancel = Arc::new(CancelToken::new());
         let limits = SearchLimits {
             cancel: Some(Arc::clone(&cancel)),

@@ -9,9 +9,8 @@
 //! A context *executes* a [`QueryPlan`] produced by `sge-plan`: the plan
 //! fixes the match order, the back-edge constraint sets and the domains; the
 //! context adds the target-graph machinery (adjacency intersection,
-//! consistency checks).  [`SearchContext::prepare`] plans with the default
-//! RI-greedy strategy; [`SearchContext::prepare_planned`] accepts any
-//! [`sge_plan::Strategy`].
+//! consistency checks).  It borrows the plan, so one prepared plan serves
+//! any number of runs, each through its own cheap context.
 //!
 //! [`WorkerState`] is the per-worker mutable part: the partial mapping `M`
 //! (target node per ordered position) and the injectivity flags.  In the
@@ -21,12 +20,11 @@
 
 use crate::kernels::{self, GallopRoute, KernelCells, KernelUsage};
 use crate::matcher::Algorithm;
-use sge_graph::{AdjacencyBitmaps, BitmapConfig, EdgeRef, Graph, GraphStats, NodeId};
+use sge_graph::{AdjacencyBitmaps, EdgeRef, Graph, NodeId};
 use sge_obs::TraceSink;
 use sge_plan::ordering::{KernelChoice, MatchOrder, PlanStep, PrefilterSpec};
-use sge_plan::{Domains, PlanCost, Planner, QueryPlan, Strategy};
+use sge_plan::{Domains, QueryPlan, Strategy};
 use std::cell::RefCell;
-use std::sync::Arc;
 
 thread_local! {
     /// Per-thread word buffer for the bitmap kernel's row AND accumulation.
@@ -79,10 +77,6 @@ impl std::str::FromStr for CandidateMode {
     }
 }
 
-/// Read-only description of one enumeration instance: pattern, target and
-/// the [`QueryPlan`] being executed (ordering, domains, cost estimates).
-///
-/// Domains are held behind an [`Arc`] inside the plan so that prepared
 /// What the last-depth counting fast path would contribute: every set bit
 /// of the final AND is a visited state, and the non-used ones are matches.
 #[derive(Clone, Copy, Debug)]
@@ -93,209 +87,88 @@ pub(crate) struct FinalCount {
     pub matches: u64,
 }
 
-/// instances can be rebuilt against long-lived owned graphs (see
-/// [`PreparedParts`]) without re-running or copying the domain computation.
+/// The per-run view of one prepared enumeration instance.
+///
+/// Everything prepared is *borrowed* from whoever owns the instance
+/// (normally `sge_engine::Engine`): the pattern, the target, the
+/// [`QueryPlan`] being executed (ordering, domains, cost estimates) and the
+/// optional bitmap sidecar.  The context owns only this run's observation
+/// state — the kernel counters and the optional [`TraceSink`] — so building
+/// one copies nothing, and concurrent runs of one shared engine never mix
+/// their counters.
 pub struct SearchContext<'a> {
     pattern: &'a Graph,
     target: &'a Graph,
-    plan: QueryPlan,
+    plan: &'a QueryPlan,
+    // The plan parts the hot path reads, one load away from the context.
+    steps: &'a [PlanStep],
+    positions: &'a [NodeId],
+    domains: Option<&'a Domains>,
+    check_degrees: bool,
     /// Candidate generation scheme (intersection by default).
     mode: CandidateMode,
-    /// Optional per-run observation sink.  When attached, candidate
-    /// generation and consistency checks record per-position counters; when
-    /// absent the cost is one predictable branch per call.
-    sink: Option<Arc<TraceSink>>,
     /// Optional dense-adjacency bitmap sidecar of the target.  Required for
     /// the bitmap kernel and the candidate prefilter; when absent every
     /// position gallops over CSR and no candidates are prefiltered.
-    bitmaps: Option<Arc<AdjacencyBitmaps>>,
-    /// Shared kernel-invocation counters (always on; workers accumulate
+    bitmaps: Option<&'a AdjacencyBitmaps>,
+    /// Optional per-run observation sink.  When attached, candidate
+    /// generation and consistency checks record per-position counters; when
+    /// absent the cost is one predictable branch per call.
+    sink: Option<&'a TraceSink>,
+    /// This run's kernel-invocation counters (always on; workers accumulate
     /// locally per candidate fill and flush a handful of relaxed adds).
-    kernels: Arc<KernelCells>,
+    kernels: KernelCells,
 }
 
 impl<'a> SearchContext<'a> {
-    /// Runs the preprocessing phase of `algorithm` (domain computation, forward
-    /// checking, node ordering) and returns a ready-to-search context using
-    /// the default intersection-based candidate generator and RI-greedy
-    /// ordering strategy.
-    pub fn prepare(pattern: &'a Graph, target: &'a Graph, algorithm: Algorithm) -> Self {
-        Self::prepare_with_mode(pattern, target, algorithm, CandidateMode::default())
-    }
-
-    /// [`Self::prepare`] with an explicit [`CandidateMode`] — the entry point
-    /// for A/B comparisons between the intersection and single-parent paths.
-    pub fn prepare_with_mode(
-        pattern: &'a Graph,
-        target: &'a Graph,
-        algorithm: Algorithm,
-        mode: CandidateMode,
-    ) -> Self {
-        Self::prepare_planned(pattern, target, algorithm, mode, Strategy::default())
-    }
-
-    /// Full preparation entry point: plans with `strategy` and executes
-    /// under `mode`.
-    pub fn prepare_planned(
-        pattern: &'a Graph,
-        target: &'a Graph,
-        algorithm: Algorithm,
-        mode: CandidateMode,
-        strategy: Strategy,
-    ) -> Self {
-        let plan = Planner::new(strategy).plan(pattern, target, algorithm);
-        let mut ctx = Self::from_plan(pattern, target, plan, mode);
-        ctx.ensure_bitmaps();
-        ctx
-    }
-
-    /// [`Self::prepare_planned`] with precomputed target statistics —
-    /// callers that prepare many patterns against one long-lived target
-    /// (the serving registry) compute [`GraphStats`] once instead of paying
-    /// the full-target frequency pass per preparation.
-    pub fn prepare_planned_with_stats(
-        pattern: &'a Graph,
-        target: &'a Graph,
-        target_stats: &GraphStats,
-        algorithm: Algorithm,
-        mode: CandidateMode,
-        strategy: Strategy,
-    ) -> Self {
-        let plan = Planner::new(strategy).plan_with_stats(pattern, target, target_stats, algorithm);
-        let mut ctx = Self::from_plan(pattern, target, plan, mode);
-        ctx.ensure_bitmaps();
-        ctx
-    }
-
-    /// [`Self::prepare_planned_with_stats`] with an explicitly supplied
-    /// bitmap sidecar — the serving path, where the registry owns one
-    /// sidecar per long-lived target.
-    ///
-    /// The caller's decision is final: `None` means "no sidecar" (e.g. the
-    /// registry hit its memory cap and fell back to CSR-only) and the
-    /// context will *not* build one itself, unlike
-    /// [`Self::prepare_planned`]/[`Self::prepare_planned_with_stats`] which
-    /// auto-build when the plan routes a position to the bitmap kernel.
-    pub fn prepare_planned_full(
-        pattern: &'a Graph,
-        target: &'a Graph,
-        target_stats: &GraphStats,
-        bitmaps: Option<Arc<AdjacencyBitmaps>>,
-        algorithm: Algorithm,
-        mode: CandidateMode,
-        strategy: Strategy,
-    ) -> Self {
-        let plan = Planner::new(strategy).plan_with_stats(pattern, target, target_stats, algorithm);
-        let mut ctx = Self::from_plan(pattern, target, plan, mode);
-        ctx.bitmaps = bitmaps;
-        ctx
-    }
-
-    /// Wraps an externally produced [`QueryPlan`].
+    /// A ready-to-search view of `plan` executed against `pattern` and
+    /// `target` under `mode`.
     ///
     /// The graphs must be the ones the plan was built from (or structurally
     /// identical copies); the ordering and domains reference their node ids
-    /// directly.
-    pub fn from_plan(
+    /// directly.  `bitmaps`, when given, must describe `target`; steps the
+    /// plan routes to the bitmap kernel gallop over CSR without it.  With a
+    /// `sink` attached every candidate list generated and every consistency
+    /// check performed through this context is recorded per position; all
+    /// schedulers drive the same context, so the recorded totals are
+    /// schedule-invariant on complete runs.
+    pub fn new(
         pattern: &'a Graph,
         target: &'a Graph,
-        plan: QueryPlan,
+        plan: &'a QueryPlan,
         mode: CandidateMode,
+        bitmaps: Option<&'a AdjacencyBitmaps>,
+        sink: Option<&'a TraceSink>,
     ) -> Self {
         SearchContext {
             pattern,
             target,
             plan,
+            steps: &plan.order.plan.steps,
+            positions: &plan.order.positions,
+            domains: plan.domains.as_deref(),
+            check_degrees: plan.check_degrees,
             mode,
-            sink: None,
-            bitmaps: None,
-            kernels: Arc::new(KernelCells::default()),
+            bitmaps,
+            sink,
+            kernels: KernelCells::default(),
         }
     }
 
-    /// Attaches (or detaches, with `None`) a target bitmap sidecar.
-    ///
-    /// The sidecar must describe this context's target graph.  Steps routed
-    /// to the bitmap kernel fall back to galloping whenever the sidecar (or
-    /// a specific row) is missing, so detaching is always safe.
-    pub fn set_bitmaps(&mut self, bitmaps: Option<Arc<AdjacencyBitmaps>>) {
-        self.bitmaps = bitmaps;
-    }
-
-    /// The attached bitmap sidecar, if any.
-    pub fn bitmaps(&self) -> Option<&Arc<AdjacencyBitmaps>> {
-        self.bitmaps.as_ref()
-    }
-
-    /// Builds and attaches a default-configuration sidecar when the plan
-    /// routes at least one position to the bitmap kernel and no sidecar is
-    /// attached yet.  One-shot enumeration pays the build during its
-    /// preprocessing phase; serving callers attach the registry's shared
-    /// sidecar instead (see [`Self::prepare_planned_full`]).
-    pub fn ensure_bitmaps(&mut self) {
-        if self.bitmaps.is_none() && self.plan_wants_bitmaps() {
-            self.bitmaps = Some(Arc::new(AdjacencyBitmaps::build(
-                self.target,
-                &BitmapConfig::default(),
-            )));
-        }
-    }
-
-    fn plan_wants_bitmaps(&self) -> bool {
-        self.plan
-            .order
-            .plan
-            .steps
-            .iter()
-            .any(|s| s.kernel == KernelChoice::Bitmap)
-    }
-
-    /// Snapshot of the kernel-invocation counters accumulated through this
-    /// context so far (across all workers).
+    /// Kernel-invocation counters accumulated through this context so far
+    /// (across all workers).
     pub fn kernel_totals(&self) -> KernelUsage {
         self.kernels.snapshot()
     }
 
-    /// Attaches a [`TraceSink`]: from now on every candidate list generated
-    /// and every consistency check performed through this context is
-    /// recorded per position.  All schedulers drive the same context, so the
-    /// recorded totals are schedule-invariant on complete runs.
-    pub fn set_trace_sink(&mut self, sink: Arc<TraceSink>) {
-        self.sink = Some(sink);
-    }
-
     /// The attached trace sink, if any.
-    pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
-        self.sink.as_ref()
+    pub fn trace_sink(&self) -> Option<&'a TraceSink> {
+        self.sink
     }
 
-    /// Builds a context from explicitly prepared parts (used by tests and by
-    /// callers that want to reuse a domain computation).
-    ///
-    /// The caller supplies the order, so the resulting plan carries **no
-    /// meaningful strategy label** (it reports the default) and an empty
-    /// cost estimate; use [`Self::prepare_planned`] when the strategy field
-    /// matters (outcome reporting, EXPLAIN, cache keys).
-    pub fn from_parts(
-        pattern: &'a Graph,
-        target: &'a Graph,
-        algorithm: Algorithm,
-        order: MatchOrder,
-        domains: Option<Domains>,
-        check_degrees: bool,
-    ) -> Self {
-        let impossible = domains.as_ref().is_some_and(|d| d.any_empty());
-        let plan = QueryPlan {
-            algorithm,
-            strategy: Strategy::default(),
-            order,
-            domains: domains.map(Arc::new),
-            impossible,
-            check_degrees,
-            cost: PlanCost::default(),
-            root_filter: None,
-        };
-        Self::from_plan(pattern, target, plan, CandidateMode::default())
+    /// The attached bitmap sidecar, if any.
+    pub fn bitmaps(&self) -> Option<&'a AdjacencyBitmaps> {
+        self.bitmaps
     }
 
     /// The candidate generation scheme this context uses.
@@ -319,8 +192,8 @@ impl<'a> SearchContext<'a> {
     }
 
     /// The full query plan this context executes.
-    pub fn plan(&self) -> &QueryPlan {
-        &self.plan
+    pub fn plan(&self) -> &'a QueryPlan {
+        self.plan
     }
 
     /// The ordering strategy that planned this context.
@@ -335,12 +208,12 @@ impl<'a> SearchContext<'a> {
 
     /// The domains, when the algorithm uses them.
     pub fn domains(&self) -> Option<&Domains> {
-        self.plan.domains.as_deref()
+        self.domains
     }
 
     /// Number of positions to fill (= pattern nodes).
     pub fn num_positions(&self) -> usize {
-        self.plan.order.len()
+        self.positions.len()
     }
 
     /// `true` when preprocessing proved there are no matches; the search can be
@@ -380,11 +253,11 @@ impl<'a> SearchContext<'a> {
 
     fn fill_candidates(&self, depth: usize, state: &WorkerState, out: &mut Vec<NodeId>) {
         out.clear();
-        let step = &self.plan.order.plan.steps[depth];
+        let step = &self.steps[depth];
         let mut local = KernelUsage::default();
         if step.constraints.is_empty() {
-            let vp = self.plan.order.positions[depth];
-            match &self.plan.domains {
+            let vp = self.positions[depth];
+            match self.domains {
                 Some(domains) => {
                     out.extend(domains.set(vp).iter().map(|v| v as NodeId));
                 }
@@ -420,7 +293,7 @@ impl<'a> SearchContext<'a> {
                 out.extend(edges.iter().map(|e| e.node));
             }
             CandidateMode::Intersection => {
-                let vp = self.plan.order.positions[depth];
+                let vp = self.positions[depth];
                 self.intersect_candidates(vp, step, state, out, &mut local);
                 self.kernels.flush(local);
             }
@@ -434,7 +307,7 @@ impl<'a> SearchContext<'a> {
         &'s self,
         step: &'s PlanStep,
     ) -> Option<(&'s AdjacencyBitmaps, &'s PrefilterSpec)> {
-        let maps = self.bitmaps.as_deref()?;
+        let maps = self.bitmaps?;
         if step.prefilter.is_trivial() {
             return None;
         }
@@ -508,7 +381,7 @@ impl<'a> SearchContext<'a> {
             }
             None => true,
         };
-        match &self.plan.domains {
+        match self.domains {
             Some(domains) => {
                 for e in adj0 {
                     if e.label == c0.label && domains.contains(vp, e.node) && passes(e.node, local)
@@ -573,7 +446,7 @@ impl<'a> SearchContext<'a> {
         out: &mut Vec<NodeId>,
         local: &mut KernelUsage,
     ) -> bool {
-        let Some(maps) = self.bitmaps.as_deref() else {
+        let Some(maps) = self.bitmaps else {
             return false;
         };
         let words = maps.words_per_row();
@@ -604,10 +477,10 @@ impl<'a> SearchContext<'a> {
                 }
                 local.bitmap += 1;
             }
-            if let Some(domains) = &self.plan.domains {
+            if let Some(domains) = self.domains {
                 kernels::and_rows(&mut scratch, domains.set(vp).words());
             }
-            let check_label = self.plan.domains.is_none();
+            let check_label = self.domains.is_none();
             let label = self.pattern.label(vp);
             let prefilter = self.active_prefilter(step);
             for (w, &word) in scratch.iter().enumerate() {
@@ -667,15 +540,15 @@ impl<'a> SearchContext<'a> {
         if self.mode != CandidateMode::Intersection || self.sink.is_some() {
             return None;
         }
-        let step = &self.plan.order.plan.steps[depth];
+        let step = &self.steps[depth];
         if step.kernel != KernelChoice::Bitmap
             || step.constraints.is_empty()
             || step.self_loop.is_some()
         {
             return None;
         }
-        let domains = self.plan.domains.as_ref()?;
-        let maps = self.bitmaps.as_deref()?;
+        let domains = self.domains?;
+        let maps = self.bitmaps?;
         let words = maps.words_per_row();
         if words == 0 {
             return None;
@@ -683,7 +556,7 @@ impl<'a> SearchContext<'a> {
         for c in &step.constraints {
             self.constraint_row(maps, c, state)?;
         }
-        let vp = self.plan.order.positions[depth];
+        let vp = self.positions[depth];
         let count = BITMAP_SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
             scratch.clear();
@@ -741,7 +614,7 @@ impl<'a> SearchContext<'a> {
         if self.mode != CandidateMode::Intersection || self.sink.is_some() {
             return None;
         }
-        let step = &self.plan.order.plan.steps[depth];
+        let step = &self.steps[depth];
         if step.constraints.is_empty() || step.self_loop.is_some() {
             return None;
         }
@@ -770,16 +643,16 @@ impl<'a> SearchContext<'a> {
         if let Some(sink) = &self.sink {
             sink.record_state(depth);
         }
-        let vp = self.plan.order.positions[depth];
+        let vp = self.positions[depth];
         if state.used[vt as usize] {
             return false;
         }
-        let step = &self.plan.order.plan.steps[depth];
+        let step = &self.steps[depth];
         // Under intersection mode, constrained candidates were already pushed
         // through the domain / node-label filter by `candidates`; re-testing
         // is only needed for parentless positions and the legacy path.
         if self.mode == CandidateMode::SingleParent || step.constraints.is_empty() {
-            match &self.plan.domains {
+            match self.domains {
                 Some(domains) => {
                     if !domains.contains(vp, vt) {
                         return false;
@@ -792,7 +665,7 @@ impl<'a> SearchContext<'a> {
                 }
             }
         }
-        if self.plan.check_degrees
+        if self.check_degrees
             && (self.target.out_degree(vt) < self.pattern.out_degree(vp)
                 || self.target.in_degree(vt) < self.pattern.in_degree(vp))
         {
@@ -829,7 +702,7 @@ impl<'a> SearchContext<'a> {
     pub fn mapping_by_pattern_node(&self, state: &WorkerState) -> Vec<NodeId> {
         let mut out = vec![NodeId::MAX; self.num_positions()];
         for (pos, &vt) in state.mapping.iter().enumerate() {
-            let vp = self.plan.order.positions[pos];
+            let vp = self.positions[pos];
             out[vp as usize] = vt;
         }
         out
@@ -852,90 +725,6 @@ fn prefilter_pass(
         && target.in_degree(v) >= spec.min_in_degree as usize
         && spec.out_sig & !maps.out_sig(v) == 0
         && spec.in_sig & !maps.in_sig(v) == 0
-}
-
-/// The owned outcome of preprocessing, detached from the graph borrows.
-///
-/// [`SearchContext`] borrows its pattern and target, which is the right shape
-/// for one-shot enumeration but not for a serving system that keeps prepared
-/// instances alive across queries.  `PreparedParts` captures the executed
-/// [`QueryPlan`] (domains shared, not copied) and the candidate mode, so a
-/// caller that *owns* the graphs can rebuild an equivalent context at any
-/// time without re-running preprocessing:
-///
-/// ```
-/// use sge_graph::generators;
-/// use sge_ri::{Algorithm, PreparedParts, SearchContext};
-///
-/// let pattern = generators::directed_cycle(3, 0);
-/// let target = generators::clique(4, 0);
-/// let parts = PreparedParts::extract(&SearchContext::prepare(
-///     &pattern, &target, Algorithm::RiDsSiFc,
-/// ));
-/// // Later, against the same (now possibly heap-owned) graphs:
-/// let ctx = parts.context(&pattern, &target);
-/// assert_eq!(ctx.algorithm(), Algorithm::RiDsSiFc);
-/// ```
-#[derive(Clone)]
-pub struct PreparedParts {
-    plan: QueryPlan,
-    mode: CandidateMode,
-    bitmaps: Option<Arc<AdjacencyBitmaps>>,
-}
-
-impl PreparedParts {
-    /// Captures the prepared artifacts of `ctx` (domains and the bitmap
-    /// sidecar are shared via [`Arc`], the ordering — including its
-    /// [`sge_plan::CandidatePlan`] — is cloned, and the candidate mode
-    /// travels along).
-    pub fn extract(ctx: &SearchContext<'_>) -> Self {
-        PreparedParts {
-            plan: ctx.plan.clone(),
-            mode: ctx.mode,
-            bitmaps: ctx.bitmaps.clone(),
-        }
-    }
-
-    /// Rebuilds a ready-to-search context against `pattern` and `target`.
-    ///
-    /// The graphs must be the ones this instance was prepared from (or
-    /// structurally identical copies); the ordering and domains reference
-    /// their node ids directly.
-    pub fn context<'a>(&self, pattern: &'a Graph, target: &'a Graph) -> SearchContext<'a> {
-        let mut ctx = SearchContext::from_plan(pattern, target, self.plan.clone(), self.mode);
-        ctx.bitmaps = self.bitmaps.clone();
-        ctx
-    }
-
-    /// The captured bitmap sidecar, if one was attached at preparation time.
-    pub fn bitmaps(&self) -> Option<&Arc<AdjacencyBitmaps>> {
-        self.bitmaps.as_ref()
-    }
-
-    /// The algorithm these parts were prepared for.
-    pub fn algorithm(&self) -> Algorithm {
-        self.plan.algorithm
-    }
-
-    /// The ordering strategy that planned these parts.
-    pub fn strategy(&self) -> Strategy {
-        self.plan.strategy
-    }
-
-    /// The candidate generation scheme these parts execute under.
-    pub fn candidate_mode(&self) -> CandidateMode {
-        self.mode
-    }
-
-    /// The captured query plan (order, domains, cost estimates).
-    pub fn plan(&self) -> &QueryPlan {
-        &self.plan
-    }
-
-    /// `true` when preprocessing already proved there are no matches.
-    pub fn impossible(&self) -> bool {
-        self.plan.impossible
-    }
 }
 
 /// Mutable per-worker search state: the partial mapping (indexed by ordered
@@ -1004,12 +793,26 @@ mod tests {
     use super::*;
     use crate::matcher::Algorithm;
     use sge_graph::{generators, GraphBuilder};
+    use sge_plan::Planner;
+
+    fn plan(pattern: &Graph, target: &Graph, algorithm: Algorithm) -> QueryPlan {
+        Planner::default().plan(pattern, target, algorithm)
+    }
+
+    fn context<'a>(
+        pattern: &'a Graph,
+        target: &'a Graph,
+        plan: &'a QueryPlan,
+    ) -> SearchContext<'a> {
+        SearchContext::new(pattern, target, plan, CandidateMode::default(), None, None)
+    }
 
     #[test]
     fn candidates_from_parent_neighborhood() {
         let pattern = generators::directed_path(2, 0);
         let target = generators::star(3, 0, 0); // center 0 -> leaves 1,2,3
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
+        let plan = plan(&pattern, &target, Algorithm::Ri);
+        let ctx = context(&pattern, &target, &plan);
         let mut state = ctx.new_state();
 
         let mut roots = Vec::new();
@@ -1050,7 +853,8 @@ mod tests {
         tb.add_edge(a, d, 0);
         let target = tb.build();
 
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
+        let plan = plan(&pattern, &target, Algorithm::Ri);
+        let ctx = context(&pattern, &target, &plan);
         let mut state = ctx.new_state();
         let pos0 = ctx.order().positions[0];
         let image0 = match pattern.label(pos0) {
@@ -1074,7 +878,8 @@ mod tests {
         let t1 = tb.add_node(0);
         tb.add_edge(t1, t0, 0);
         let target = tb.build();
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
+        let plan = plan(&pattern, &target, Algorithm::Ri);
+        let ctx = context(&pattern, &target, &plan);
         let mut state = ctx.new_state();
 
         // Whatever the ordering, mapping both nodes must fail somewhere.
@@ -1112,7 +917,8 @@ mod tests {
         tb.add_edge(t0, t1, 0);
         let target = tb.build();
 
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
+        let plan = plan(&pattern, &target, Algorithm::Ri);
+        let ctx = context(&pattern, &target, &plan);
         let state = ctx.new_state();
         assert!(ctx.is_consistent(0, t0, &state));
         assert!(!ctx.is_consistent(0, t1, &state));
@@ -1122,7 +928,8 @@ mod tests {
     fn impossible_when_pattern_larger_than_target() {
         let pattern = generators::clique(4, 0);
         let target = generators::clique(3, 0);
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
+        let plan = plan(&pattern, &target, Algorithm::Ri);
+        let ctx = context(&pattern, &target, &plan);
         assert!(ctx.impossible());
     }
 
@@ -1132,7 +939,8 @@ mod tests {
         pb.add_node(9);
         let pattern = pb.build();
         let target = generators::clique(3, 0);
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::RiDs);
+        let plan = plan(&pattern, &target, Algorithm::RiDs);
+        let ctx = context(&pattern, &target, &plan);
         assert!(ctx.impossible());
     }
 
@@ -1140,7 +948,8 @@ mod tests {
     fn worker_state_prefix_and_rewind() {
         let pattern = generators::directed_path(3, 0);
         let target = generators::directed_path(5, 0);
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
+        let plan = plan(&pattern, &target, Algorithm::Ri);
+        let ctx = context(&pattern, &target, &plan);
         let mut state = ctx.new_state();
         state.assign(0, 2);
         state.assign(1, 3);
@@ -1177,7 +986,8 @@ mod tests {
         tb.add_node(3);
         let target = tb.build();
 
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::RiDs);
+        let plan = plan(&pattern, &target, Algorithm::RiDs);
+        let ctx = context(&pattern, &target, &plan);
         let state = ctx.new_state();
         let mut cands = Vec::new();
         ctx.candidates(0, &state, &mut cands);
@@ -1190,7 +1000,8 @@ mod tests {
     fn mapping_by_pattern_node_inverts_the_order() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::directed_cycle(3, 0);
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
+        let plan = plan(&pattern, &target, Algorithm::Ri);
+        let ctx = context(&pattern, &target, &plan);
         let mut state = ctx.new_state();
         // Assign positions 0..3 to target nodes equal to the pattern node they
         // represent (the identity embedding exists in a 3-cycle).
@@ -1219,24 +1030,25 @@ mod tests {
     }
 
     #[test]
-    fn prepared_parts_carry_strategy_and_plan() {
+    fn context_carries_strategy_and_plan() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(4, 0);
-        let ctx = SearchContext::prepare_planned(
+        let plan =
+            Planner::new(Strategy::DegreeDescending).plan(&pattern, &target, Algorithm::RiDs);
+        let ctx = SearchContext::new(
             &pattern,
             &target,
-            Algorithm::RiDs,
+            &plan,
             CandidateMode::SingleParent,
-            Strategy::DegreeDescending,
+            None,
+            None,
         );
         assert_eq!(ctx.strategy(), Strategy::DegreeDescending);
+        assert_eq!(ctx.algorithm(), Algorithm::RiDs);
+        assert_eq!(ctx.candidate_mode(), CandidateMode::SingleParent);
         assert_eq!(ctx.plan().cost.positions.len(), 3);
-        let parts = PreparedParts::extract(&ctx);
-        assert_eq!(parts.strategy(), Strategy::DegreeDescending);
-        assert_eq!(parts.candidate_mode(), CandidateMode::SingleParent);
-        assert_eq!(parts.plan().num_positions(), 3);
-        let rebuilt = parts.context(&pattern, &target);
-        assert_eq!(rebuilt.order().positions, ctx.order().positions);
-        assert_eq!(rebuilt.candidate_mode(), CandidateMode::SingleParent);
+        assert_eq!(ctx.order().positions, plan.order.positions);
+        assert!(ctx.trace_sink().is_none());
+        assert_eq!(ctx.kernel_totals(), KernelUsage::default());
     }
 }

@@ -5,11 +5,11 @@
 //! extracted from them (so most instances have at least one match), and pure
 //! random patterns (which often have none).
 
-use std::sync::Arc;
-
 use sge_graph::{AdjacencyBitmaps, BitmapConfig, Graph, GraphBuilder, GraphStats};
 use sge_ri::search::{CandidateMode, SearchContext, WorkerState};
-use sge_ri::{check_kernel_parity, enumerate, search_prepared, Algorithm, MatchConfig, Strategy};
+use sge_ri::{
+    check_kernel_parity, search_prepared, Algorithm, Planner, SearchLimits, SearchRun, Strategy,
+};
 use sge_util::SplitMix64;
 
 /// Random labeled directed graph with `n` nodes, edge probability `p`, and
@@ -65,10 +65,30 @@ fn extract_pattern(seed: u64, target: &Graph, k: usize) -> Graph {
     b.build()
 }
 
+/// A complete sequential search of `pattern` in `target` under `algo`,
+/// prepared like `Engine::prepare`: default strategy, intersection
+/// candidates, and a default bitmap sidecar whenever the plan routes a
+/// position to the bitmap kernel.
+fn enumerate(pattern: &Graph, target: &Graph, algo: Algorithm) -> SearchRun {
+    let plan = Planner::default().plan(pattern, target, algo);
+    let sidecar = plan
+        .uses_bitmap_kernel()
+        .then(|| AdjacencyBitmaps::build(target, &BitmapConfig::default()));
+    let ctx = SearchContext::new(
+        pattern,
+        target,
+        &plan,
+        CandidateMode::default(),
+        sidecar.as_ref(),
+        None,
+    );
+    search_prepared(&ctx, &SearchLimits::default(), |_, _| {})
+}
+
 fn all_algorithms_agree(pattern: &Graph, target: &Graph) {
     let oracle = sge_vf2::count_matches(pattern, target);
     for algo in Algorithm::ALL {
-        let result = enumerate(pattern, target, &MatchConfig::new(algo));
+        let result = enumerate(pattern, target, algo);
         assert_eq!(
             result.matches,
             oracle,
@@ -125,7 +145,7 @@ fn randomized_ri_family_matches_vf2() {
         let pattern = extract_pattern(rng.next_u64(), &target, k);
         let oracle = sge_vf2::count_matches(&pattern, &target);
         for algo in Algorithm::ALL {
-            let result = enumerate(&pattern, &target, &MatchConfig::new(algo));
+            let result = enumerate(&pattern, &target, algo);
             assert_eq!(result.matches, oracle, "case={case} {algo}");
         }
     }
@@ -227,15 +247,15 @@ fn kernel_paths_produce_byte_identical_candidate_sets() {
         let stats = GraphStats::of(&target);
         // Threshold 1: every non-empty (node, direction, label) neighborhood
         // gets a row, so the bitmap-forced context never falls back.
-        let sidecar = Arc::new(AdjacencyBitmaps::build(
+        let sidecar = AdjacencyBitmaps::build(
             &target,
             &BitmapConfig {
                 degree_threshold: 1,
                 max_bytes: usize::MAX,
             },
-        ));
+        );
         for algo in [Algorithm::Ri, Algorithm::RiDs] {
-            let planner = sge_ri::Planner::new(Strategy::default());
+            let planner = Planner::new(Strategy::default());
             let mut gallop_plan = planner.plan_with_stats(&pattern, &target, &stats, algo);
             for step in &mut gallop_plan.order.plan.steps {
                 step.kernel = sge_ri::KernelChoice::Gallop;
@@ -248,20 +268,22 @@ fn kernel_paths_produce_byte_identical_candidate_sets() {
             }
             // Both contexts carry the same sidecar so the candidate prefilter
             // applies identically; only the intersection kernel differs.
-            let mut gallop = SearchContext::from_plan(
+            let gallop = SearchContext::new(
                 &pattern,
                 &target,
-                gallop_plan,
+                &gallop_plan,
                 CandidateMode::Intersection,
+                Some(&sidecar),
+                None,
             );
-            gallop.set_bitmaps(Some(Arc::clone(&sidecar)));
-            let mut bitmap = SearchContext::from_plan(
+            let bitmap = SearchContext::new(
                 &pattern,
                 &target,
-                bitmap_plan,
+                &bitmap_plan,
                 CandidateMode::Intersection,
+                Some(&sidecar),
+                None,
             );
-            bitmap.set_bitmaps(Some(Arc::clone(&sidecar)));
             if gallop.num_positions() == 0 {
                 continue;
             }
@@ -269,7 +291,7 @@ fn kernel_paths_produce_byte_identical_candidate_sets() {
             walk_and_compare(case, 0, &gallop, &bitmap, &mut state);
 
             let oracle = sge_vf2::count_matches(&pattern, &target);
-            let limits = sge_ri::SearchLimits::default();
+            let limits = SearchLimits::default();
             let g = search_prepared(&gallop, &limits, |_, _| {});
             let b = search_prepared(&bitmap, &limits, |_, _| {});
             assert_eq!(g.matches, oracle, "case={case} {algo}: gallop vs VF2");
@@ -288,8 +310,8 @@ fn randomized_search_space_of_ds_family_not_larger_than_ri() {
         let k = 3 + rng.next_below(3);
         let target = random_graph(rng.next_u64(), n, 0.12, 4);
         let pattern = extract_pattern(rng.next_u64(), &target, k);
-        let ri = enumerate(&pattern, &target, &MatchConfig::new(Algorithm::Ri));
-        let ds = enumerate(&pattern, &target, &MatchConfig::new(Algorithm::RiDs));
+        let ri = enumerate(&pattern, &target, Algorithm::Ri);
+        let ds = enumerate(&pattern, &target, Algorithm::RiDs);
         assert_eq!(ri.matches, ds.matches, "case={case}");
         assert!(
             ds.states <= ri.states,

@@ -1,7 +1,7 @@
-//! The prepared-context cache: a bounded LRU over [`PreparedEngine`]s.
+//! The prepared-engine cache: a bounded LRU over [`Engine`]s.
 
-use sge_engine::PreparedEngine;
-use sge_graph::{AdjacencyBitmaps, Graph, GraphStats};
+use sge_engine::Engine;
+use sge_graph::Graph;
 use sge_ri::{Algorithm, CandidateMode, Strategy};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -28,7 +28,7 @@ struct CacheKey {
 }
 
 struct Entry {
-    engine: Arc<PreparedEngine>,
+    engine: Arc<Engine>,
     last_used: u64,
 }
 
@@ -103,110 +103,29 @@ impl PreparedCache {
         hasher.finish()
     }
 
-    /// Fetches the prepared engine for `(pattern, target_name, algorithm)`
-    /// under the default candidate mode and ordering strategy, preparing and
-    /// inserting it on a miss.  Returns the engine and whether the lookup
-    /// was a hit.
+    /// Fetches the engine prepared for `(pattern, target_name, algorithm,
+    /// mode, strategy)`, running `prepare` and inserting its engine on a
+    /// miss.  Returns the engine and whether the lookup was a hit.
+    ///
+    /// The caller decides how a miss prepares — typically planning with
+    /// `strategy` (from the registry's precomputed target statistics, or
+    /// rooted at a shard's owned vertices) and wrapping the plan with
+    /// [`Engine::from_plan`] and the registry's shared bitmap sidecar.  The
+    /// key is the whole tuple, so the same pattern prepared under two
+    /// strategies or modes yields two independent entries; shard identity
+    /// rides on the target name, so rooted and unrooted preparations never
+    /// alias as long as shard entries are registered under distinct names.
+    #[allow(clippy::too_many_arguments)]
     pub fn get_or_prepare(
         &self,
         pattern: &Graph,
         target_name: &str,
         target: &Arc<Graph>,
         algorithm: Algorithm,
-    ) -> (Arc<PreparedEngine>, bool) {
-        self.get_or_prepare_planned(
-            pattern,
-            target_name,
-            target,
-            None,
-            None,
-            algorithm,
-            CandidateMode::default(),
-            Strategy::default(),
-        )
-    }
-
-    /// [`PreparedCache::get_or_prepare`] with the full preparation variant:
-    /// candidate mode and ordering strategy both participate in the cache
-    /// key, so the same pattern prepared under two strategies yields two
-    /// independent entries.  When the caller holds precomputed target
-    /// statistics (the registry computes them at registration), a miss
-    /// prepares with them instead of re-deriving the frequency tables; when
-    /// it additionally holds the registry's bitmap sidecar (requires stats),
-    /// the prepared engine attaches it instead of building a private one.
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_or_prepare_planned(
-        &self,
-        pattern: &Graph,
-        target_name: &str,
-        target: &Arc<Graph>,
-        target_stats: Option<&GraphStats>,
-        bitmaps: Option<&Arc<AdjacencyBitmaps>>,
-        algorithm: Algorithm,
         mode: CandidateMode,
         strategy: Strategy,
-    ) -> (Arc<PreparedEngine>, bool) {
-        let key = CacheKey {
-            pattern: Self::canonical_pattern(pattern),
-            target: target_name.to_string(),
-            algorithm,
-            mode,
-            strategy,
-        };
-
-        if let Some(engine) = self.lookup(&key, target) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (engine, true);
-        }
-
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let engine = Arc::new(match (target_stats, bitmaps) {
-            (Some(stats), Some(bitmaps)) => PreparedEngine::prepare_planned_full(
-                Arc::new(pattern.clone()),
-                Arc::clone(target),
-                stats,
-                Some(Arc::clone(bitmaps)),
-                algorithm,
-                mode,
-                strategy,
-            ),
-            (Some(stats), None) => PreparedEngine::prepare_planned_with_stats(
-                Arc::new(pattern.clone()),
-                Arc::clone(target),
-                stats,
-                algorithm,
-                mode,
-                strategy,
-            ),
-            (None, _) => PreparedEngine::prepare_planned(
-                Arc::new(pattern.clone()),
-                Arc::clone(target),
-                algorithm,
-                mode,
-                strategy,
-            ),
-        });
-        (self.insert(key, engine), false)
-    }
-
-    /// [`PreparedCache::get_or_prepare_planned`] with caller-supplied
-    /// preparation: on a miss, `prepare` builds the engine (the sharded
-    /// service uses this to prepare *rooted* plans restricted to the shard's
-    /// owned vertices).  The key is the same `(pattern, target, algorithm,
-    /// mode, strategy)` tuple — shard identity rides on the target name, so
-    /// rooted and unrooted preparations never alias as long as shard entries
-    /// are registered under distinct names.
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_or_prepare_with(
-        &self,
-        pattern: &Graph,
-        target_name: &str,
-        target: &Arc<Graph>,
-        algorithm: Algorithm,
-        mode: CandidateMode,
-        strategy: Strategy,
-        prepare: impl FnOnce() -> PreparedEngine,
-    ) -> (Arc<PreparedEngine>, bool) {
+        prepare: impl FnOnce() -> Engine,
+    ) -> (Arc<Engine>, bool) {
         let key = CacheKey {
             pattern: Self::canonical_pattern(pattern),
             target: target_name.to_string(),
@@ -223,7 +142,7 @@ impl PreparedCache {
         (self.insert(key, engine), false)
     }
 
-    fn lookup(&self, key: &CacheKey, target: &Arc<Graph>) -> Option<Arc<PreparedEngine>> {
+    fn lookup(&self, key: &CacheKey, target: &Arc<Graph>) -> Option<Arc<Engine>> {
         let mut inner = self
             .inner
             .lock()
@@ -249,7 +168,7 @@ impl PreparedCache {
 
     /// Inserts unless a racing thread already did; returns the resident
     /// engine either way.
-    fn insert(&self, key: CacheKey, engine: Arc<PreparedEngine>) -> Arc<PreparedEngine> {
+    fn insert(&self, key: CacheKey, engine: Arc<Engine>) -> Arc<Engine> {
         if self.capacity == 0 {
             return engine;
         }
@@ -330,9 +249,29 @@ impl PreparedCache {
 mod tests {
     use super::*;
     use sge_graph::generators;
+    use sge_ri::Planner;
 
     fn k5() -> Arc<Graph> {
         Arc::new(generators::clique(5, 0))
+    }
+
+    /// A default-variant lookup that prepares with [`Engine::prepare`].
+    fn lookup(
+        cache: &PreparedCache,
+        pattern: &Graph,
+        target_name: &str,
+        target: &Arc<Graph>,
+        algorithm: Algorithm,
+    ) -> (Arc<Engine>, bool) {
+        cache.get_or_prepare(
+            pattern,
+            target_name,
+            target,
+            algorithm,
+            CandidateMode::default(),
+            Strategy::default(),
+            || Engine::prepare(Arc::new(pattern.clone()), Arc::clone(target), algorithm),
+        )
     }
 
     #[test]
@@ -340,8 +279,8 @@ mod tests {
         let cache = PreparedCache::new(4);
         let target = k5();
         let pattern = generators::directed_cycle(3, 0);
-        let (first, hit1) = cache.get_or_prepare(&pattern, "k5", &target, Algorithm::RiDsSiFc);
-        let (second, hit2) = cache.get_or_prepare(&pattern, "k5", &target, Algorithm::RiDsSiFc);
+        let (first, hit1) = lookup(&cache, &pattern, "k5", &target, Algorithm::RiDsSiFc);
+        let (second, hit2) = lookup(&cache, &pattern, "k5", &target, Algorithm::RiDsSiFc);
         assert!(!hit1);
         assert!(hit2);
         assert!(Arc::ptr_eq(&first, &second));
@@ -355,9 +294,9 @@ mod tests {
         let cache = PreparedCache::new(8);
         let pattern = generators::directed_cycle(3, 0);
         let target = k5();
-        cache.get_or_prepare(&pattern, "a", &target, Algorithm::Ri);
-        let (_, hit_other_target) = cache.get_or_prepare(&pattern, "b", &target, Algorithm::Ri);
-        let (_, hit_other_algo) = cache.get_or_prepare(&pattern, "a", &target, Algorithm::RiDs);
+        lookup(&cache, &pattern, "a", &target, Algorithm::Ri);
+        let (_, hit_other_target) = lookup(&cache, &pattern, "b", &target, Algorithm::Ri);
+        let (_, hit_other_algo) = lookup(&cache, &pattern, "a", &target, Algorithm::RiDs);
         assert!(!hit_other_target);
         assert!(!hit_other_algo);
         assert_eq!(cache.stats().entries, 3);
@@ -371,17 +310,19 @@ mod tests {
         let cache = PreparedCache::new(8);
         let target = k5();
         let pattern = generators::directed_cycle(3, 0);
-        let stats = GraphStats::of(&target);
         let prepare = |strategy: Strategy, mode: CandidateMode| {
-            cache.get_or_prepare_planned(
+            cache.get_or_prepare(
                 &pattern,
                 "k5",
                 &target,
-                Some(&stats),
-                None,
                 Algorithm::RiDs,
                 mode,
                 strategy,
+                || {
+                    let plan = Planner::new(strategy).plan(&pattern, &target, Algorithm::RiDs);
+                    let pattern = Arc::new(pattern.clone());
+                    Engine::from_plan(pattern, Arc::clone(&target), None, plan, mode)
+                },
             )
         };
         let (greedy, hit1) = prepare(Strategy::RiGreedy, CandidateMode::Intersection);
@@ -429,8 +370,8 @@ mod tests {
             PreparedCache::pattern_hash(&named),
             PreparedCache::pattern_hash(&anonymous)
         );
-        cache.get_or_prepare(&named, "k5", &target, Algorithm::Ri);
-        let (_, hit) = cache.get_or_prepare(&anonymous, "k5", &target, Algorithm::Ri);
+        lookup(&cache, &named, "k5", &target, Algorithm::Ri);
+        let (_, hit) = lookup(&cache, &anonymous, "k5", &target, Algorithm::Ri);
         assert!(hit);
     }
 
@@ -441,13 +382,13 @@ mod tests {
         let p1 = generators::directed_cycle(3, 0);
         let p2 = generators::directed_path(2, 0);
         let p3 = generators::directed_path(3, 0);
-        cache.get_or_prepare(&p1, "k5", &target, Algorithm::Ri);
-        cache.get_or_prepare(&p2, "k5", &target, Algorithm::Ri);
+        lookup(&cache, &p1, "k5", &target, Algorithm::Ri);
+        lookup(&cache, &p2, "k5", &target, Algorithm::Ri);
         // Touch p1 so p2 is the LRU victim.
-        cache.get_or_prepare(&p1, "k5", &target, Algorithm::Ri);
-        cache.get_or_prepare(&p3, "k5", &target, Algorithm::Ri);
-        let (_, p1_hit) = cache.get_or_prepare(&p1, "k5", &target, Algorithm::Ri);
-        let (_, p2_hit) = cache.get_or_prepare(&p2, "k5", &target, Algorithm::Ri);
+        lookup(&cache, &p1, "k5", &target, Algorithm::Ri);
+        lookup(&cache, &p3, "k5", &target, Algorithm::Ri);
+        let (_, p1_hit) = lookup(&cache, &p1, "k5", &target, Algorithm::Ri);
+        let (_, p2_hit) = lookup(&cache, &p2, "k5", &target, Algorithm::Ri);
         assert!(p1_hit, "recently used entry survived");
         assert!(!p2_hit, "cold entry was evicted");
         assert!(cache.stats().evictions >= 1);
@@ -459,19 +400,19 @@ mod tests {
         let cache = PreparedCache::new(4);
         let pattern = generators::directed_cycle(3, 0);
         let old_target = k5();
-        let (stale, _) = cache.get_or_prepare(&pattern, "k", &old_target, Algorithm::RiDsSiFc);
+        let (stale, _) = lookup(&cache, &pattern, "k", &old_target, Algorithm::RiDsSiFc);
         assert_eq!(stale.run(&Default::default()).matches, 60);
 
         // Same registry name, different graph: the cached engine was built
         // against the old graph and must not be served.
         let new_target = Arc::new(generators::clique(4, 0));
-        let (fresh, hit) = cache.get_or_prepare(&pattern, "k", &new_target, Algorithm::RiDsSiFc);
+        let (fresh, hit) = lookup(&cache, &pattern, "k", &new_target, Algorithm::RiDsSiFc);
         assert!(!hit, "stale entry must not be a hit");
         assert!(!Arc::ptr_eq(&stale, &fresh));
         assert_eq!(fresh.run(&Default::default()).matches, 24);
 
         // The replacement is resident now.
-        let (again, hit) = cache.get_or_prepare(&pattern, "k", &new_target, Algorithm::RiDsSiFc);
+        let (again, hit) = lookup(&cache, &pattern, "k", &new_target, Algorithm::RiDsSiFc);
         assert!(hit);
         assert!(Arc::ptr_eq(&fresh, &again));
     }
@@ -481,8 +422,8 @@ mod tests {
         let cache = PreparedCache::new(0);
         let target = k5();
         let pattern = generators::directed_cycle(3, 0);
-        let (_, hit1) = cache.get_or_prepare(&pattern, "k5", &target, Algorithm::Ri);
-        let (_, hit2) = cache.get_or_prepare(&pattern, "k5", &target, Algorithm::Ri);
+        let (_, hit1) = lookup(&cache, &pattern, "k5", &target, Algorithm::Ri);
+        let (_, hit2) = lookup(&cache, &pattern, "k5", &target, Algorithm::Ri);
         assert!(!hit1);
         assert!(!hit2);
         assert_eq!(cache.stats().entries, 0);
@@ -494,8 +435,8 @@ mod tests {
         let cache = PreparedCache::new(4);
         let target = k5();
         let pattern = generators::directed_cycle(3, 0);
-        cache.get_or_prepare(&pattern, "k5", &target, Algorithm::Ri);
-        cache.get_or_prepare(&pattern, "k5", &target, Algorithm::Ri);
+        lookup(&cache, &pattern, "k5", &target, Algorithm::Ri);
+        lookup(&cache, &pattern, "k5", &target, Algorithm::Ri);
         cache.clear();
         let stats = cache.stats();
         assert_eq!(stats.entries, 0);

@@ -14,17 +14,17 @@
 //! down.  Stepping granularity is what lets the simulator interleave many
 //! virtual clients deterministically from a seed.
 
-use crate::json::Json;
-use crate::protocol::{
-    batch_response, error_response, explain_analyze_response, explain_response, load_response,
-    metrics_response, parse_batch_query, parse_command, query_response, shutdown_response,
-    stats_response, stream_footer_response, stream_header_response, stream_rows_frame, Command,
-    MAX_BATCH_QUERIES, MAX_REQUEST_LINE_BYTES,
-};
+use crate::protocol::{batch_response, metrics_response, stats_response};
 use crate::{EmitMode, QuerySet, Service, ServiceError, StatsSnapshot, StreamHeader, StreamSink};
 use sge_graph::NodeId;
 use sge_obs::{EventLog, Gauge};
 use sge_util::Clock;
+use sge_wire::json::Json;
+use sge_wire::protocol::{
+    error_response, explain_analyze_response, explain_response, load_response, parse_batch_query,
+    parse_command, query_response, shutdown_response, stream_footer_response,
+    stream_header_response, stream_rows_frame, Command, MAX_BATCH_QUERIES, MAX_REQUEST_LINE_BYTES,
+};
 use std::io::{BufRead, Read, Write};
 use std::sync::Arc;
 

@@ -25,11 +25,7 @@
 //! `service.*` family — a coordinator-level admission wait is never
 //! double-counted as a shard-level one.
 
-use crate::json::Json;
-use crate::protocol::{
-    batch_response, error_response, explain_analyze_response, explain_response, load_response,
-    metrics_json, query_response, stats_fields, stream_footer_response,
-};
+use crate::protocol::{batch_response, stats_fields};
 use crate::registry::SharedInterner;
 use crate::semaphore;
 use crate::{
@@ -41,6 +37,11 @@ use sge_graph::io::parse_graph_with_interner;
 use sge_graph::{NodeId, Partition, PartitionSpec};
 use sge_obs::{EventLog, Gauge, HistogramSummary, MetricValue, MetricsRegistry};
 use sge_util::{Clock, SystemClock};
+use sge_wire::json::Json;
+use sge_wire::protocol::{
+    error_response, explain_analyze_response, explain_response, load_response, metrics_json,
+    query_response, stream_footer_response,
+};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};

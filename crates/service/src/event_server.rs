@@ -26,11 +26,11 @@
 //! returns — the same drain semantics as the blocking [`crate::Server`].
 
 use crate::connection::{Backend, Connection, StepOutcome};
-use crate::json::Json;
-use crate::protocol::{MAX_BATCH_QUERIES, MAX_REQUEST_LINE_BYTES};
 use crate::server::log_event;
 use sge_obs::{EventLog, Gauge};
 use sge_util::poll::{poll_entries, PollEntry, POLLIN, POLLOUT};
+use sge_wire::json::Json;
+use sge_wire::protocol::{MAX_BATCH_QUERIES, MAX_REQUEST_LINE_BYTES};
 use std::collections::HashMap;
 use std::io::{BufReader, Cursor, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};

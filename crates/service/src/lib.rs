@@ -18,7 +18,7 @@
 //!   (queries served, total matches, and a latency distribution built on
 //!   [`sge_util::LatencyHistogram`]);
 //! * [`Server`] is a std-only TCP front end speaking the newline-delimited
-//!   text protocol documented in [`protocol`] (`LOAD`, `QUERY`, `EXPLAIN`,
+//!   text protocol documented in [`sge_wire::protocol`] (`LOAD`, `QUERY`, `EXPLAIN`,
 //!   `BATCH`, `STATS`, `SHUTDOWN`) with single-line JSON responses, driven
 //!   by the `sge-serve` / `sge-client` binaries.  A `QUERY` with
 //!   `emit=stream` answers with a header line, newline-delimited row frames
@@ -28,7 +28,8 @@
 //!   enumeration when the client disconnects mid-stream.
 //!
 //! Everything is `std`-only: no async runtime, no serialization crates —
-//! the JSON responses come from the hand-rolled encoder in [`json`].
+//! the JSON responses come from the hand-rolled encoder in
+//! [`sge_wire::json`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +41,6 @@ pub mod connection;
 pub mod coordinator;
 #[cfg(unix)]
 pub mod event_server;
-pub mod json;
 pub mod protocol;
 pub mod registry;
 pub mod server;
@@ -64,11 +64,12 @@ pub use sge_wire::{
     StreamHeader, StreamSink, StreamedQueryOutcome, DEFAULT_STREAM_CHUNK, MAX_STREAM_CHUNK,
 };
 
-use sge_engine::{EnumerationOutcome, PreparedEngine, RunConfig, Scheduler};
+use sge_engine::{Engine, EnumerationOutcome, RunConfig, Scheduler};
 use sge_graph::{BitmapConfig, NodeId};
 use sge_obs::{Counter, EventLog, Gauge, MetricsRegistry, MetricsSnapshot, QueryTrace, TraceSink};
 use sge_plan::{CostModel, Planner, RoutingConfig, RoutingDecision, SchedulerChoice};
 use sge_util::{Clock, SystemClock};
+use sge_wire::json::Json;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -300,11 +301,11 @@ impl Service {
                 .map(|(_, _, bitmaps)| bitmaps.required_row_bytes())
                 .unwrap_or(0);
             self.log_event(
-                &json::Json::obj(vec![
-                    ("event", json::Json::str("bitmap_cap_fallback")),
-                    ("target", json::Json::str(name)),
-                    ("required_bytes", json::Json::U64(required as u64)),
-                    ("cap_bytes", json::Json::U64(config.max_bytes as u64)),
+                &Json::obj(vec![
+                    ("event", Json::str("bitmap_cap_fallback")),
+                    ("target", Json::str(name)),
+                    ("required_bytes", Json::U64(required as u64)),
+                    ("cap_bytes", Json::U64(config.max_bytes as u64)),
                 ])
                 .render(),
             );
@@ -389,25 +390,24 @@ impl Service {
     /// a cache hit, and the pattern hash.  Keeping this in one place is
     /// what guarantees an `EXPLAIN` describes exactly the plan the
     /// identical `QUERY` will run.
-    fn prepare_for_spec(
+    fn engine_for_spec(
         &self,
         target: &str,
         spec: &QuerySpec,
-    ) -> Result<(Arc<PreparedEngine>, bool, u64), ServiceError> {
+    ) -> Result<(Arc<Engine>, bool, u64), ServiceError> {
         let (target_graph, target_stats, target_bitmaps) = self
             .registry
             .get_full(target)
             .ok_or_else(|| ServiceError::UnknownTarget(target.to_string()))?;
         let pattern = self.registry.parse_pattern(&spec.pattern_text)?;
-        let (engine, cache_hit) = match self.registry.shard_meta(target) {
+        // Shard executor path: plans are *rooted* at the pattern node of
+        // minimum undirected eccentricity and position 0 is restricted to
+        // shard-owned vertices.  Correctness needs the whole pattern to fit
+        // inside the replicated R-hop ball around any owned root, so
+        // patterns that are empty, disconnected, or wider than the
+        // replication radius are rejected rather than silently undercounted.
+        let rooted = match self.registry.shard_meta(target) {
             Some((owned, replication_hops)) => {
-                // Shard executor path: plans are *rooted* at the pattern node
-                // of minimum undirected eccentricity and position 0 is
-                // restricted to shard-owned vertices.  Correctness needs the
-                // whole pattern to fit inside the replicated R-hop ball
-                // around any owned root, so patterns that are empty,
-                // disconnected, or wider than the replication radius are
-                // rejected rather than silently undercounted.
                 let (root, eccentricity) =
                     sge_plan::min_eccentricity_root(&pattern).ok_or_else(|| {
                         ServiceError::Protocol(format!(
@@ -420,43 +420,44 @@ impl Service {
                          radius {replication_hops} of target '{target}'"
                     )));
                 }
-                self.cache.get_or_prepare_with(
-                    &pattern,
-                    target,
-                    &target_graph,
-                    spec.algorithm,
-                    spec.mode,
-                    spec.run.strategy,
-                    || {
-                        let plan = Planner::new(spec.run.strategy).plan_rooted(
-                            &pattern,
-                            &target_graph,
-                            &target_stats,
-                            spec.algorithm,
-                            root,
-                            Some(Arc::clone(&owned)),
-                        );
-                        PreparedEngine::from_plan(
-                            Arc::new(pattern.clone()),
-                            Arc::clone(&target_graph),
-                            Some(Arc::clone(&target_bitmaps)),
-                            plan,
-                            spec.mode,
-                        )
-                    },
-                )
+                Some((root, owned))
             }
-            None => self.cache.get_or_prepare_planned(
-                &pattern,
-                target,
-                &target_graph,
-                Some(&target_stats),
-                Some(&target_bitmaps),
-                spec.algorithm,
-                spec.mode,
-                spec.run.strategy,
-            ),
+            None => None,
         };
+        let (engine, cache_hit) = self.cache.get_or_prepare(
+            &pattern,
+            target,
+            &target_graph,
+            spec.algorithm,
+            spec.mode,
+            spec.strategy,
+            || {
+                let planner = Planner::new(spec.strategy);
+                let plan = match rooted {
+                    Some((root, owned)) => planner.plan_rooted(
+                        &pattern,
+                        &target_graph,
+                        &target_stats,
+                        spec.algorithm,
+                        root,
+                        Some(owned),
+                    ),
+                    None => planner.plan_with_stats(
+                        &pattern,
+                        &target_graph,
+                        &target_stats,
+                        spec.algorithm,
+                    ),
+                };
+                Engine::from_plan(
+                    Arc::new(pattern.clone()),
+                    Arc::clone(&target_graph),
+                    Some(Arc::clone(&target_bitmaps)),
+                    plan,
+                    spec.mode,
+                )
+            },
+        );
         Ok((engine, cache_hit, PreparedCache::pattern_hash(&pattern)))
     }
 
@@ -499,7 +500,7 @@ impl Service {
 
     /// The routing decision [`Planner::route`] makes for `engine` against
     /// `target` right now (current correction factor, configured thresholds).
-    pub fn routing_decision(&self, target: &str, engine: &PreparedEngine) -> RoutingDecision {
+    pub fn routing_decision(&self, target: &str, engine: &Engine) -> RoutingDecision {
         let correction = self.cost_model.correction_for(target);
         Planner::new(engine.strategy()).route(&engine.plan().cost, correction, &self.config.routing)
     }
@@ -511,7 +512,7 @@ impl Service {
         &self,
         target: &str,
         spec: &QuerySpec,
-        engine: &PreparedEngine,
+        engine: &Engine,
     ) -> (RunConfig, Option<RoutingDecision>) {
         if spec.pinned {
             return (spec.run, None);
@@ -534,7 +535,7 @@ impl Service {
     /// Folds one finished run into the cost model — only *complete* runs:
     /// a cancelled, timed-out or limit-capped run undercounts the true tree
     /// and would corrupt the observed/estimated ratio.
-    fn observe_run(&self, target: &str, engine: &PreparedEngine, outcome: &EnumerationOutcome) {
+    fn observe_run(&self, target: &str, engine: &Engine, outcome: &EnumerationOutcome) {
         if outcome.cancelled || outcome.timed_out || outcome.limit_hit {
             return;
         }
@@ -554,7 +555,7 @@ impl Service {
         spec: &QuerySpec,
         started: Duration,
     ) -> Result<QueryOutcome, ServiceError> {
-        let (engine, cache_hit, pattern_hash) = self.prepare_for_spec(target, spec)?;
+        let (engine, cache_hit, pattern_hash) = self.engine_for_spec(target, spec)?;
         let (run, decision) = self.effective_run(target, spec, &engine);
         self.record_dispatch(&run.scheduler);
         let outcome = {
@@ -611,7 +612,7 @@ impl Service {
         sink: &mut dyn StreamSink,
         started: Duration,
     ) -> Result<StreamedQueryOutcome, ServiceError> {
-        let (engine, cache_hit, pattern_hash) = self.prepare_for_spec(target, spec)?;
+        let (engine, cache_hit, pattern_hash) = self.engine_for_spec(target, spec)?;
         let (mut run, decision) = self.effective_run(target, spec, &engine);
         let chunk = spec.chunk.clamp(1, MAX_STREAM_CHUNK);
         let header = StreamHeader {
@@ -695,7 +696,7 @@ impl Service {
         spec: &QuerySpec,
     ) -> Result<ExplainOutcome, ServiceError> {
         let started = self.clock.now();
-        let (engine, cache_hit, pattern_hash) = self.prepare_for_spec(target, spec)?;
+        let (engine, cache_hit, pattern_hash) = self.engine_for_spec(target, spec)?;
         let routing = self.routing_decision(target, &engine);
         let effective_scheduler = if spec.pinned {
             spec.run.scheduler
@@ -744,14 +745,14 @@ impl Service {
     ) -> Result<ExplainAnalyzeOutcome, ServiceError> {
         let started = self.clock.now();
         let mut trace = QueryTrace::begin(started);
-        let (engine, cache_hit, pattern_hash) = self.prepare_for_spec(target, spec)?;
+        let (engine, cache_hit, pattern_hash) = self.engine_for_spec(target, spec)?;
         let planned = self.clock.now();
         trace.record_span("plan", started, planned);
 
         let routing = self.routing_decision(target, &engine);
         let (mut run, decision) = self.effective_run(target, spec, &engine);
         self.record_dispatch(&run.scheduler);
-        let sink = Arc::new(TraceSink::new(engine.plan().num_positions()));
+        let sink = TraceSink::new(engine.plan().num_positions());
         let outcome = {
             let wait_started = self.clock.now();
             let permit = self.admission.acquire();
@@ -761,9 +762,7 @@ impl Service {
             trace.record_span("admission_wait", wait_started, admitted);
             let _permit = permit;
             run.collect_mappings = 0;
-            let mut instrumented = engine.engine();
-            instrumented.set_trace_sink(Arc::clone(&sink));
-            let outcome = instrumented.run(&run);
+            let outcome = engine.run_traced(&run, None, Some(&sink));
             trace.record_span("enumeration", admitted, self.clock.now());
             outcome
         };

@@ -1,15 +1,13 @@
 //! The service-side face of the wire protocol.
 //!
-//! Parsing and the pure response builders live in [`sge_wire::protocol`]
-//! (re-exported here wholesale, so historical `sge_service::protocol::*`
-//! paths keep working).  What remains in this module are the builders that
-//! read live [`Service`] state — `STATS` and `METRICS` — plus the `BATCH`
-//! aggregation, which wraps the service-side [`BatchOutcome`].
+//! Parsing and the pure response builders live in [`sge_wire::protocol`].
+//! What remains in this module are the builders that read live [`Service`]
+//! state — `STATS` and `METRICS` — plus the `BATCH` aggregation, which wraps
+//! the service-side [`BatchOutcome`].
 
-pub use sge_wire::protocol::*;
-
-use crate::json::Json;
 use crate::{BatchOutcome, Service};
+use sge_wire::json::Json;
+use sge_wire::protocol::{error_response, metrics_json, query_body};
 
 /// Response to `METRICS`: one JSON object with every registered metric,
 /// sorted by name — counters and gauges as integers, histograms as nested

@@ -15,8 +15,8 @@
 //! deadline measured on the server's injectable [`Clock`].
 
 use crate::connection::{Backend, Connection, StepOutcome};
-use crate::json::Json;
 use sge_obs::EventLog;
+use sge_wire::json::Json;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -7,8 +7,8 @@
 use sge_graph::{generators, io::write_graph};
 use sge_obs::EventLog;
 use sge_service::client::run_script;
-use sge_service::protocol::encode_inline_pattern;
 use sge_service::{EventServer, Server, Service, ServiceConfig};
+use sge_wire::protocol::encode_inline_pattern;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;

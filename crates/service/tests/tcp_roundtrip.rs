@@ -2,8 +2,8 @@
 
 use sge_graph::{generators, io::write_graph};
 use sge_service::client::run_script;
-use sge_service::protocol::encode_inline_pattern;
 use sge_service::{Server, Service, ServiceConfig};
+use sge_wire::protocol::encode_inline_pattern;
 use std::sync::Arc;
 
 fn start_server() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {

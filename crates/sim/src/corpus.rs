@@ -9,8 +9,8 @@
 use crate::scenario::{edge_inline, inline, pinned_config, ClientScript, Scenario, TargetKind};
 use crate::transport::{ReadFault, WriteFault};
 use sge_graph::generators;
-use sge_service::protocol::MAX_REQUEST_LINE_BYTES;
 use sge_service::ServiceConfig;
+use sge_wire::protocol::MAX_REQUEST_LINE_BYTES;
 use std::time::Duration;
 
 fn tri() -> String {

@@ -221,7 +221,7 @@ pub fn edge_inline() -> String {
 
 /// Inline-encodes any generated graph for a `pattern=` token.
 pub fn inline(graph: &Graph) -> String {
-    sge_service::protocol::encode_inline_pattern(&sge_graph::io::write_graph(graph))
+    sge_wire::protocol::encode_inline_pattern(&sge_graph::io::write_graph(graph))
 }
 
 #[cfg(test)]
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn patterns_round_trip_through_the_inline_encoding() {
         for encoded in [triangle_inline(), edge_inline()] {
-            let decoded = sge_service::protocol::decode_inline_pattern(&encoded);
+            let decoded = sge_wire::protocol::decode_inline_pattern(&encoded);
             let (graph, _) = sge_graph::io::parse_graph(&decoded).expect("inline pattern parses");
             assert!(graph.num_nodes() >= 2);
         }

@@ -21,12 +21,12 @@
 pub mod json;
 pub mod protocol;
 
-use sge_engine::{EnumerationOutcome, PreparedEngine, RunConfig, Scheduler};
+use sge_engine::{Engine, EnumerationOutcome, RunConfig, Scheduler};
 use sge_graph::io::ParseError;
 use sge_graph::NodeId;
 use sge_obs::SpanRecord;
 use sge_plan::RoutingDecision;
-use sge_ri::{Algorithm, CandidateMode};
+use sge_ri::{Algorithm, CandidateMode, Strategy};
 use std::fmt;
 use std::sync::Arc;
 
@@ -142,9 +142,10 @@ pub struct QuerySpec {
     /// Candidate generation scheme to prepare under (part of the cache
     /// key; intersection by default).
     pub mode: CandidateMode,
-    /// Scheduler and limits for this run.  The embedded
-    /// `RunConfig::strategy` selects the ordering strategy the engine is
-    /// prepared with (also part of the cache key).
+    /// Ordering strategy to plan with (part of the cache key; RI-greedy by
+    /// default).
+    pub strategy: Strategy,
+    /// Scheduler and limits for this run.
     pub run: RunConfig,
     /// How results leave the service (buffered response vs. row stream).
     /// Not part of the cache key: the same prepared engine serves both.
@@ -168,6 +169,7 @@ impl QuerySpec {
             pattern_text: pattern_text.into(),
             algorithm: Algorithm::RiDsSiFc,
             mode: CandidateMode::default(),
+            strategy: Strategy::default(),
             run: RunConfig::default(),
             emit: EmitMode::default(),
             chunk: DEFAULT_STREAM_CHUNK,
@@ -252,9 +254,9 @@ pub struct ExplainOutcome {
     /// The scheduler the explained query would execute under: the routed
     /// choice, or the pinned one.
     pub effective_scheduler: Scheduler,
-    /// The prepared engine; its [`PreparedEngine::plan`] carries the match
-    /// order, strategy and cost estimates.
-    pub engine: Arc<PreparedEngine>,
+    /// The prepared engine; its [`Engine::plan`] carries the match order,
+    /// strategy and cost estimates.
+    pub engine: Arc<Engine>,
 }
 
 /// The result of an `EXPLAIN ANALYZE`: the prepared engine (for the plan
@@ -284,7 +286,7 @@ pub struct ExplainAnalyzeOutcome {
     /// Whether the run was planner-routed (`true`) or scheduler-pinned.
     pub routed: bool,
     /// The prepared engine whose plan carries the estimates.
-    pub engine: Arc<PreparedEngine>,
+    pub engine: Arc<Engine>,
     /// The executed enumeration (mappings empty — collection is disabled).
     pub outcome: EnumerationOutcome,
 }
@@ -318,7 +320,7 @@ pub struct StreamHeader {
     /// Algorithm variant that will run.
     pub algorithm: Algorithm,
     /// Ordering strategy of the prepared plan.
-    pub strategy: sge_ri::Strategy,
+    pub strategy: Strategy,
     /// Scheduler the run executes under (the routed choice when `routed`).
     pub scheduler: Scheduler,
     /// Whether the scheduler was planner-routed rather than caller-pinned.

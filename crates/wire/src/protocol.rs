@@ -177,6 +177,7 @@ fn parse_query_args(tokens: &[&str]) -> Result<QueryArgs, ServiceError> {
     let mut pattern_text: Option<String> = None;
     let mut algorithm = sge_ri::Algorithm::RiDsSiFc;
     let mut mode = sge_ri::CandidateMode::default();
+    let mut strategy = sge_ri::Strategy::default();
     let mut run = RunConfig::default();
     let mut emit = EmitMode::default();
     let mut chunk = crate::DEFAULT_STREAM_CHUNK;
@@ -201,7 +202,7 @@ fn parse_query_args(tokens: &[&str]) -> Result<QueryArgs, ServiceError> {
                 }
             }
             "strategy" => {
-                run.strategy = value.parse().map_err(protocol_error)?;
+                strategy = value.parse().map_err(protocol_error)?;
             }
             "mode" => {
                 mode = value.parse().map_err(protocol_error)?;
@@ -255,6 +256,7 @@ fn parse_query_args(tokens: &[&str]) -> Result<QueryArgs, ServiceError> {
         pattern_text,
         algorithm,
         mode,
+        strategy,
         run,
         emit,
         chunk,
@@ -810,7 +812,7 @@ mod tests {
         let line = "QUERY target=k5 strategy=lfl mode=single-parent pattern=1;0;0";
         match parse_command(line).unwrap() {
             Command::Query { spec, .. } => {
-                assert_eq!(spec.run.strategy, sge_ri::Strategy::LeastFrequentLabelFirst);
+                assert_eq!(spec.strategy, sge_ri::Strategy::LeastFrequentLabelFirst);
                 assert_eq!(spec.mode, sge_ri::CandidateMode::SingleParent);
             }
             other => panic!("unexpected {other:?}"),
@@ -818,7 +820,7 @@ mod tests {
         match parse_command("EXPLAIN target=k5 strategy=degree-descending pattern=1;0;0").unwrap() {
             Command::Explain { target, spec } => {
                 assert_eq!(target, "k5");
-                assert_eq!(spec.run.strategy, sge_ri::Strategy::DegreeDescending);
+                assert_eq!(spec.strategy, sge_ri::Strategy::DegreeDescending);
             }
             other => panic!("unexpected {other:?}"),
         }

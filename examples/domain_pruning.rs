@@ -9,6 +9,7 @@
 use sge::datasets::{pdbsv1_like, Collection};
 use sge::prelude::*;
 use sge::ri::{greatest_constraint_first, Domains};
+use std::sync::Arc;
 
 fn main() {
     let collection = Collection::generate(&pdbsv1_like(0.3, 99));
@@ -18,8 +19,8 @@ fn main() {
         .filter(|i| i.pattern.num_nodes() >= 6)
         .max_by_key(|i| i.pattern.num_nodes())
         .expect("collection contains a reasonably sized pattern");
-    let target = collection.target_of(instance);
-    let pattern = &instance.pattern;
+    let target = Arc::new(collection.target_of(instance).clone());
+    let pattern = Arc::new(instance.pattern.clone());
 
     println!(
         "pattern {} nodes / {} edges  —  target {} nodes / {} edges",
@@ -30,7 +31,7 @@ fn main() {
     );
 
     // Domain assignment (label + degree filter + arc consistency).
-    let mut domains = Domains::compute(pattern, target);
+    let mut domains = Domains::compute(&pattern, &target);
     println!("\nper-pattern-node domain sizes after arc consistency:");
     println!("  {:?}", domains.sizes());
     println!("  total = {}", domains.total_size());
@@ -42,8 +43,8 @@ fn main() {
     println!("  total = {}", domains.total_size());
 
     // The SI ordering prefers small domains when degrees tie.
-    let plain = greatest_constraint_first(pattern, Some(&domains), false);
-    let si = greatest_constraint_first(pattern, Some(&domains), true);
+    let plain = greatest_constraint_first(&pattern, Some(&domains), false);
+    let si = greatest_constraint_first(&pattern, Some(&domains), true);
     println!(
         "\nGreatestConstraintFirst order (RI-DS): {:?}",
         plain.positions
@@ -56,7 +57,7 @@ fn main() {
         "algorithm", "matches", "states", "total (s)"
     );
     for algorithm in Algorithm::ALL {
-        let engine = Engine::prepare(pattern, target, algorithm);
+        let engine = Engine::prepare(Arc::clone(&pattern), Arc::clone(&target), algorithm);
         let result = engine.run(&RunConfig::new(Scheduler::Sequential));
         println!(
             "{:<14} {:>10} {:>12} {:>12.4}",

@@ -16,6 +16,7 @@
 
 use sge::datasets::{graemlin32_like, Collection};
 use sge::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     let collection = Collection::generate(&graemlin32_like(0.3, 7));
@@ -36,7 +37,11 @@ fn main() {
         target.num_edges()
     );
 
-    let engine = Engine::prepare(&instance.pattern, target, Algorithm::RiDsSiFc);
+    let engine = Engine::prepare(
+        Arc::new(instance.pattern.clone()),
+        Arc::new(target.clone()),
+        Algorithm::RiDsSiFc,
+    );
     println!(
         "preprocessing: {:.6} s (paid once, reused below)",
         engine.preprocess_seconds()

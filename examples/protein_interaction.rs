@@ -13,6 +13,7 @@
 use sge::datasets::{ppis32_like, Collection};
 use sge::prelude::*;
 use sge::ri::Domains;
+use std::sync::Arc;
 
 fn main() {
     // A small PPIS32-like collection (deterministic in the seed).
@@ -37,7 +38,8 @@ fn main() {
         .iter()
         .find(|i| i.requested_edges == 16)
         .expect("collection contains 16-edge patterns");
-    let target = collection.target_of(instance);
+    let pattern = Arc::new(instance.pattern.clone());
+    let target = Arc::new(collection.target_of(instance).clone());
     println!(
         "\ninstance {}: pattern {} nodes / {} edges ({}), target {}",
         instance.id,
@@ -47,7 +49,7 @@ fn main() {
         target.name()
     );
 
-    let mut domains = Domains::compute(&instance.pattern, target);
+    let mut domains = Domains::compute(&pattern, &target);
     let before: usize = domains.total_size();
     let consistent = domains.forward_check();
     println!(
@@ -60,7 +62,7 @@ fn main() {
         "algorithm", "matches", "states", "total (s)", "states/s"
     );
     for algorithm in [Algorithm::RiDs, Algorithm::RiDsSi, Algorithm::RiDsSiFc] {
-        let engine = Engine::prepare(&instance.pattern, target, algorithm);
+        let engine = Engine::prepare(Arc::clone(&pattern), Arc::clone(&target), algorithm);
         let result = engine.run(&RunConfig::new(Scheduler::Sequential));
         println!(
             "{:<14} {:>10} {:>12} {:>12.4} {:>12.0}",
@@ -73,7 +75,11 @@ fn main() {
     }
 
     // And the parallel schedulers on the best variant: prepare once, run both.
-    let engine = Engine::prepare(&instance.pattern, target, Algorithm::RiDsSiFc);
+    let engine = Engine::prepare(
+        Arc::clone(&pattern),
+        Arc::clone(&target),
+        Algorithm::RiDsSiFc,
+    );
     let stealing = engine.run(&RunConfig::new(Scheduler::work_stealing(4)));
     println!(
         "\nwork-stealing RI-DS-SI-FC (4 workers): {} matches, {} states, {} steals, {:.4} s total",

@@ -10,12 +10,13 @@
 
 use sge::graph::generators;
 use sge::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     // Pattern: an undirected 4-cycle (stored as symmetric directed edges).
     // Target: a 6x6 grid — every unit square hosts 8 embeddings.
-    let pattern = generators::undirected_cycle(4, 0);
-    let target = generators::grid(6, 6);
+    let pattern = Arc::new(generators::undirected_cycle(4, 0));
+    let target = Arc::new(generators::grid(6, 6));
 
     println!(
         "pattern: {} nodes / {} edges",
@@ -35,7 +36,7 @@ fn main() {
     );
     for algorithm in Algorithm::ALL {
         // Preprocessing runs once per algorithm; every scheduler below reuses it.
-        let engine = Engine::prepare(&pattern, &target, algorithm);
+        let engine = Engine::prepare(Arc::clone(&pattern), Arc::clone(&target), algorithm);
         let result = engine.run(&RunConfig::new(Scheduler::Sequential));
         println!(
             "{:<14} {:>10} {:>12} {:>12.6} {:>12.6}",
@@ -50,7 +51,11 @@ fn main() {
 
     // The same instance with the paper's parallel scheduler and the
     // rayon-style comparator — one engine, three schedulers.
-    let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+    let engine = Engine::prepare(
+        Arc::clone(&pattern),
+        Arc::clone(&target),
+        Algorithm::RiDsSiFc,
+    );
     for workers in [1usize, 2, 4] {
         let result = engine.run(&RunConfig::new(Scheduler::work_stealing(workers)));
         println!(

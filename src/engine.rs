@@ -4,9 +4,8 @@
 //! workspace crate (`crates/engine`) so that the serving subsystem
 //! ([`crate::service`]) can build on it without depending on this facade.
 //! Every type keeps its path: `sge::engine::Engine`, `sge::Engine` and
-//! friends are unchanged, and [`PreparedEngine`] — the owned, cache-friendly
-//! counterpart of [`Engine`] — is exported alongside them.
+//! friends are unchanged.
 //!
 //! See the [`sge_engine`] crate docs for the scheduler-equivalence contract.
 
-pub use sge_engine::{Engine, EnumerationOutcome, PreparedEngine, RunConfig, Scheduler};
+pub use sge_engine::{Engine, EnumerationOutcome, RunConfig, Scheduler};

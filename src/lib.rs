@@ -6,8 +6,9 @@
 //! preprocessing improvements, and a shared-memory parallelization based on
 //! work stealing with private deques.
 //!
-//! The public API is the unified [`Engine`]: prepare an instance once, then
-//! run it under any [`Scheduler`] — sequential, the paper's work-stealing
+//! The public API is the unified [`Engine`]: prepare an instance once
+//! ([`Engine::prepare`], or plan with a [`Planner`] and wrap the plan with
+//! [`Engine::from_plan`]), then run it under any [`Scheduler`] — sequential, the paper's work-stealing
 //! runtime, or a rayon-style first-level pool — with one knob set and one
 //! result shape.  See the [`engine`] module for the scheduler-equivalence
 //! contract.
@@ -22,7 +23,7 @@
 //! | [`vf2`] | a VF2-style baseline used for cross-validation |
 //! | [`stealing`] | the generic private-deque work-stealing engine |
 //! | [`parallel`] | parallel RI / RI-DS-SI-FC plus ablation schedulers |
-//! | [`engine`] | the unified [`Engine`]/[`Scheduler`] API and [`PreparedEngine`] |
+//! | [`engine`] | the unified [`Engine`]/[`Scheduler`] API |
 //! | [`wire`] | the serving wire plane: line-protocol codec, JSON encoder, stream framing |
 //! | [`service`] | query serving: graph registry, prepared cache, batch executor, TCP server, shard coordinator |
 //! | [`obs`] | observability: metrics registry, query traces, enumeration trace sinks, event log |
@@ -33,13 +34,14 @@
 //!
 //! ```
 //! use sge::prelude::*;
+//! use std::sync::Arc;
 //!
 //! // Pattern: a directed triangle. Target: a 5-clique.
-//! let pattern = sge::graph::generators::directed_cycle(3, 0);
-//! let target = sge::graph::generators::clique(5, 0);
+//! let pattern = Arc::new(sge::graph::generators::directed_cycle(3, 0));
+//! let target = Arc::new(sge::graph::generators::clique(5, 0));
 //!
 //! // Preprocess once (domains, forward checking, ordering)…
-//! let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+//! let engine = Engine::prepare(pattern, target, Algorithm::RiDsSiFc);
 //!
 //! // …then run under any scheduler with the same knobs and result shape.
 //! let seq = engine.run(&RunConfig::new(Scheduler::Sequential));
@@ -75,45 +77,31 @@ pub use sge_util as util;
 pub use sge_vf2 as vf2;
 pub use sge_wire as wire;
 
-pub use engine::{Engine, EnumerationOutcome, PreparedEngine, RunConfig, Scheduler};
+pub use engine::{Engine, EnumerationOutcome, RunConfig, Scheduler};
 pub use sge_plan::{Planner, QueryPlan, Strategy};
 
 /// The most commonly used items in one import.
 pub mod prelude {
-    pub use crate::engine::{Engine, EnumerationOutcome, PreparedEngine, RunConfig, Scheduler};
+    pub use crate::engine::{Engine, EnumerationOutcome, RunConfig, Scheduler};
     pub use sge_graph::{Graph, GraphBuilder};
     pub use sge_plan::{Planner, QueryPlan, Strategy};
-    pub use sge_ri::{Algorithm, MatchVisitor};
+    pub use sge_ri::{Algorithm, CandidateMode, MatchVisitor};
     pub use sge_service::{QuerySet, QuerySpec, Service, ServiceConfig};
-
-    // Legacy per-crate entry points, kept as thin shims over the engine
-    // machinery for existing callers.
-    pub use sge_parallel::{enumerate_parallel, ParallelConfig, ParallelResult};
-    pub use sge_ri::{enumerate, MatchConfig, MatchResult};
 }
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use std::sync::Arc;
 
     #[test]
     fn facade_reexports_work_together() {
-        let pattern = crate::graph::generators::directed_path(2, 0);
-        let target = crate::graph::generators::clique(3, 0);
-        let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
+        let pattern = Arc::new(crate::graph::generators::directed_path(2, 0));
+        let target = Arc::new(crate::graph::generators::clique(3, 0));
+        let engine = Engine::prepare(pattern, target, Algorithm::Ri);
         let seq = engine.run(&RunConfig::new(Scheduler::Sequential));
         let par = engine.run(&RunConfig::new(Scheduler::work_stealing(2)));
         assert_eq!(seq.matches, 6);
         assert_eq!(par.matches, 6);
-
-        // The legacy shims still agree with the engine.
-        let legacy_seq = enumerate(&pattern, &target, &MatchConfig::new(Algorithm::Ri));
-        let legacy_par = enumerate_parallel(
-            &pattern,
-            &target,
-            &ParallelConfig::new(Algorithm::Ri).with_workers(2),
-        );
-        assert_eq!(legacy_seq.matches, 6);
-        assert_eq!(legacy_par.matches, 6);
     }
 }

@@ -6,7 +6,6 @@
 //! sequential runs.
 
 use sge::prelude::*;
-use sge::PreparedEngine;
 use std::sync::Arc;
 
 fn thread_schedulers(i: usize) -> Scheduler {
@@ -20,9 +19,9 @@ fn thread_schedulers(i: usize) -> Scheduler {
 
 #[test]
 fn one_engine_many_threads_matches_sequential() {
-    let pattern = sge::graph::generators::undirected_cycle(4, 0);
-    let target = sge::graph::generators::grid(5, 5);
-    let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+    let pattern = Arc::new(sge::graph::generators::undirected_cycle(4, 0));
+    let target = Arc::new(sge::graph::generators::grid(5, 5));
+    let engine = Engine::prepare(pattern, target, Algorithm::RiDsSiFc);
 
     let reference = engine.run(&RunConfig::default().with_collected_mappings(100_000));
     assert!(reference.matches > 0);
@@ -49,14 +48,10 @@ fn one_engine_many_threads_matches_sequential() {
 
 #[test]
 fn one_prepared_engine_many_threads_matches_sequential() {
-    // The owned flavor the cache actually stores.
+    // The shared handle the cache actually stores.
     let pattern = Arc::new(sge::graph::generators::directed_cycle(3, 0));
     let target = Arc::new(sge::graph::generators::clique(7, 0));
-    let prepared = Arc::new(PreparedEngine::prepare(
-        pattern,
-        target,
-        Algorithm::RiDsSiFc,
-    ));
+    let prepared = Arc::new(Engine::prepare(pattern, target, Algorithm::RiDsSiFc));
     let reference = prepared.run(&RunConfig::default().with_collected_mappings(100_000));
     assert_eq!(reference.matches, 210); // 7 * 6 * 5 directed 3-cycles
 
@@ -81,9 +76,9 @@ fn one_prepared_engine_many_threads_matches_sequential() {
 fn concurrent_limited_runs_stay_exact() {
     // max_matches budgets are per-run state; concurrent limited runs must
     // not interfere with each other.
-    let pattern = sge::graph::generators::directed_path(2, 0);
-    let target = sge::graph::generators::clique(10, 0); // 90 embeddings
-    let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
+    let pattern = Arc::new(sge::graph::generators::directed_path(2, 0));
+    let target = Arc::new(sge::graph::generators::clique(10, 0)); // 90 embeddings
+    let engine = Engine::prepare(pattern, target, Algorithm::Ri);
     std::thread::scope(|scope| {
         let engine = &engine;
         for i in 0..6 {

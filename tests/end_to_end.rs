@@ -5,11 +5,14 @@
 
 use sge::datasets::{graemlin32_like, pdbsv1_like, ppis32_like, Collection};
 use sge::prelude::*;
+use std::sync::Arc;
 
 /// Runs every variant on a handful of instances from `collection` and checks
 /// agreement.  Instances are capped (`max_edges`, `max_instances`) so the test
 /// stays fast in debug builds.
 fn check_collection(collection: &Collection, max_edges: usize, max_instances: usize) {
+    // Every instance of a target shares one handle to it.
+    let targets: Vec<Arc<Graph>> = collection.targets.iter().cloned().map(Arc::new).collect();
     let mut checked = 0usize;
     for instance in &collection.instances {
         if instance.pattern.num_edges() > max_edges {
@@ -19,15 +22,16 @@ fn check_collection(collection: &Collection, max_edges: usize, max_instances: us
             break;
         }
         checked += 1;
-        let target = collection.target_of(instance);
+        let pattern = Arc::new(instance.pattern.clone());
+        let target = &targets[instance.target_index];
 
-        let oracle = sge::vf2::count_matches(&instance.pattern, target);
+        let oracle = sge::vf2::count_matches(&pattern, target);
         assert!(oracle >= 1, "extracted instance {} must embed", instance.id);
 
         for algorithm in Algorithm::ALL {
             // One preparation per (instance, algorithm); every scheduler
             // reuses it.
-            let engine = Engine::prepare(&instance.pattern, target, algorithm);
+            let engine = Engine::prepare(Arc::clone(&pattern), Arc::clone(target), algorithm);
             let sequential = engine.run(&RunConfig::default());
             assert_eq!(
                 sequential.matches, oracle,
@@ -91,8 +95,13 @@ fn graph_text_format_roundtrip_preserves_match_counts() {
     let pattern2 = sge::graph::io::parse_graph_with_interner(&pattern_text, &mut interner)
         .expect("pattern roundtrip");
 
-    let before = Engine::prepare(&instance.pattern, target, Algorithm::RiDs).count();
-    let after = Engine::prepare(&pattern2, &target2, Algorithm::RiDs).count();
+    let before = Engine::prepare(
+        Arc::new(instance.pattern.clone()),
+        Arc::new(target.clone()),
+        Algorithm::RiDs,
+    )
+    .count();
+    let after = Engine::prepare(Arc::new(pattern2), Arc::new(target2), Algorithm::RiDs).count();
     assert_eq!(before, after);
 }
 
@@ -105,7 +114,11 @@ fn time_limited_runs_report_consistent_lower_bounds() {
         .max_by_key(|i| i.pattern.num_edges())
         .unwrap();
     let target = collection.target_of(instance);
-    let engine = Engine::prepare(&instance.pattern, target, Algorithm::RiDs);
+    let engine = Engine::prepare(
+        Arc::new(instance.pattern.clone()),
+        Arc::new(target.clone()),
+        Algorithm::RiDs,
+    );
     let limited =
         engine.run(&RunConfig::default().with_time_limit(std::time::Duration::from_millis(5)));
     let full = engine.run(&RunConfig::default());

@@ -7,9 +7,9 @@
 //!
 //! Seeds are deterministic, so any failure reproduces exactly.
 
+use sge::graph::{AdjacencyBitmaps, BitmapConfig};
 use sge::obs::TraceSink;
 use sge::prelude::*;
-use sge::ri::CandidateMode;
 use sge::util::SplitMix64;
 use sge::Strategy;
 use std::sync::Arc;
@@ -91,6 +91,28 @@ fn extracted_pattern(seed: u64, target: &Graph, nodes: usize) -> Graph {
     b.build()
 }
 
+/// [`Engine::prepare`] over shared handles of test graphs.
+fn prepare(pattern: &Arc<Graph>, target: &Arc<Graph>, algorithm: Algorithm) -> Engine {
+    Engine::prepare(Arc::clone(pattern), Arc::clone(target), algorithm)
+}
+
+/// Plans with `strategy` and executes under `mode`, with the sidecar policy
+/// of [`Engine::prepare`]: a default bitmap sidecar whenever the plan routes
+/// a position to the bitmap kernel.
+fn planned(
+    pattern: &Arc<Graph>,
+    target: &Arc<Graph>,
+    algorithm: Algorithm,
+    mode: CandidateMode,
+    strategy: Strategy,
+) -> Engine {
+    let plan = Planner::new(strategy).plan(pattern, target, algorithm);
+    let bitmaps = plan
+        .uses_bitmap_kernel()
+        .then(|| Arc::new(AdjacencyBitmaps::build(target, &BitmapConfig::default())));
+    Engine::from_plan(Arc::clone(pattern), Arc::clone(target), bitmaps, plan, mode)
+}
+
 /// Every scheduler variant exercised by the parity sweep.
 fn all_schedulers(task_group_size: usize) -> Vec<Scheduler> {
     let mut schedulers = vec![Scheduler::Sequential];
@@ -114,10 +136,10 @@ fn all_schedulers_agree_on_random_instances() {
         let n = 12 + rng.next_below(10);
         let k = 3 + rng.next_below(3);
         let group_size = 1 + rng.next_below(8);
-        let target = random_labeled_graph(rng.next_u64(), n, 0.15, 3);
-        let pattern = extracted_pattern(rng.next_u64(), &target, k);
+        let target = Arc::new(random_labeled_graph(rng.next_u64(), n, 0.15, 3));
+        let pattern = Arc::new(extracted_pattern(rng.next_u64(), &target, k));
 
-        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+        let engine = prepare(&pattern, &target, Algorithm::RiDsSiFc);
         let reference = engine.run(&RunConfig::default());
         for scheduler in all_schedulers(group_size) {
             let outcome = engine.run(&RunConfig::new(scheduler));
@@ -150,14 +172,13 @@ fn trace_sinks_report_schedule_invariant_per_position_counts() {
         let n = 12 + rng.next_below(8);
         let k = 3 + rng.next_below(3);
         let group_size = 1 + rng.next_below(8);
-        let target = random_labeled_graph(rng.next_u64(), n, 0.15, 3);
-        let pattern = extracted_pattern(rng.next_u64(), &target, k);
+        let target = Arc::new(random_labeled_graph(rng.next_u64(), n, 0.15, 3));
+        let pattern = Arc::new(extracted_pattern(rng.next_u64(), &target, k));
         let mut reference: Option<(Vec<u64>, Vec<u64>)> = None;
         for scheduler in all_schedulers(group_size) {
-            let mut engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
-            let sink = Arc::new(TraceSink::new(engine.plan().num_positions()));
-            engine.set_trace_sink(Arc::clone(&sink));
-            let outcome = engine.run(&RunConfig::new(scheduler));
+            let engine = prepare(&pattern, &target, Algorithm::RiDsSiFc);
+            let sink = TraceSink::new(engine.plan().num_positions());
+            let outcome = engine.run_traced(&RunConfig::new(scheduler), None, Some(&sink));
             assert!(!outcome.timed_out, "case={case} {scheduler}");
             assert_eq!(
                 sink.states_total(),
@@ -181,11 +202,11 @@ fn scheduler_counts_cross_validate_against_vf2() {
     for case in 0..10u64 {
         let mut rng = SplitMix64::new(0xFACE ^ case);
         let n = 10 + rng.next_below(8);
-        let target = random_labeled_graph(rng.next_u64(), n, 0.18, 2);
-        let pattern = extracted_pattern(rng.next_u64(), &target, 4);
+        let target = Arc::new(random_labeled_graph(rng.next_u64(), n, 0.18, 2));
+        let pattern = Arc::new(extracted_pattern(rng.next_u64(), &target, 4));
         let oracle = sge::vf2::count_matches(&pattern, &target);
         for algorithm in [Algorithm::Ri, Algorithm::RiDsSiFc] {
-            let engine = Engine::prepare(&pattern, &target, algorithm);
+            let engine = prepare(&pattern, &target, algorithm);
             for scheduler in [
                 Scheduler::Sequential,
                 Scheduler::work_stealing(2),
@@ -205,9 +226,9 @@ fn scheduler_counts_cross_validate_against_vf2() {
 fn scheduler_seed_does_not_change_results() {
     for case in 0..6u64 {
         let mut rng = SplitMix64::new(0xCAFE ^ case);
-        let target = random_labeled_graph(rng.next_u64(), 18, 0.15, 2);
-        let pattern = extracted_pattern(rng.next_u64(), &target, 4);
-        let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
+        let target = Arc::new(random_labeled_graph(rng.next_u64(), 18, 0.15, 2));
+        let pattern = Arc::new(extracted_pattern(rng.next_u64(), &target, 4));
+        let engine = prepare(&pattern, &target, Algorithm::Ri);
         let scheduler = Scheduler::work_stealing(3);
         let a = engine.run(&RunConfig::new(scheduler).with_seed(case));
         let b = engine.run(&RunConfig::new(scheduler).with_seed(case.wrapping_add(1)));
@@ -220,9 +241,9 @@ fn scheduler_seed_does_not_change_results() {
 fn max_matches_stops_at_n_on_a_large_clique() {
     // The dedicated early-termination check: a triangle in K16 has
     // 16*15*14 = 3360 embeddings; every scheduler must stop at exactly N.
-    let pattern = sge::graph::generators::directed_cycle(3, 0);
-    let target = sge::graph::generators::clique(16, 0);
-    let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
+    let pattern = Arc::new(sge::graph::generators::directed_cycle(3, 0));
+    let target = Arc::new(sge::graph::generators::clique(16, 0));
+    let engine = prepare(&pattern, &target, Algorithm::Ri);
     let full = engine.run(&RunConfig::default());
     assert_eq!(full.matches, 3360);
     for n in [1u64, 25, 500] {
@@ -253,16 +274,17 @@ fn intersection_candidates_match_single_parent_and_vf2() {
         let mut rng = SplitMix64::new(0x1317 ^ case);
         let n = 10 + rng.next_below(8);
         let k = 3 + rng.next_below(3);
-        let target = random_multi_label_graph(rng.next_u64(), n, 0.2, 2, 3);
-        let pattern = extracted_pattern(rng.next_u64(), &target, k);
+        let target = Arc::new(random_multi_label_graph(rng.next_u64(), n, 0.2, 2, 3));
+        let pattern = Arc::new(extracted_pattern(rng.next_u64(), &target, k));
         let oracle = sge::vf2::count_matches(&pattern, &target);
         for algorithm in [Algorithm::Ri, Algorithm::RiDsSiFc] {
-            let intersection = Engine::prepare(&pattern, &target, algorithm);
-            let single = Engine::prepare_with_mode(
+            let intersection = prepare(&pattern, &target, algorithm);
+            let single = planned(
                 &pattern,
                 &target,
                 algorithm,
                 CandidateMode::SingleParent,
+                Strategy::default(),
             );
             let total = intersection.run(&RunConfig::default()).matches;
             assert_eq!(total, oracle, "case={case} {algorithm} vs VF2");
@@ -302,14 +324,14 @@ fn all_strategies_and_modes_agree_with_each_other_and_vf2() {
         let mut rng = SplitMix64::new(0x9A17 ^ case);
         let n = 10 + rng.next_below(8);
         let k = 3 + rng.next_below(3);
-        let target = random_multi_label_graph(rng.next_u64(), n, 0.2, 3, 2);
-        let pattern = extracted_pattern(rng.next_u64(), &target, k);
+        let target = Arc::new(random_multi_label_graph(rng.next_u64(), n, 0.2, 3, 2));
+        let pattern = Arc::new(extracted_pattern(rng.next_u64(), &target, k));
         let oracle = sge::vf2::count_matches(&pattern, &target);
         for algorithm in [Algorithm::Ri, Algorithm::RiDsSiFc] {
-            let reference = Engine::prepare(&pattern, &target, algorithm);
+            let reference = prepare(&pattern, &target, algorithm);
             let total = reference.run(&RunConfig::default()).matches;
             assert_eq!(total, oracle, "case={case} {algorithm} vs VF2");
-            let collect_all = |e: &Engine<'_>| {
+            let collect_all = |e: &Engine| {
                 e.run(&RunConfig::default().with_collected_mappings(total as usize + 1))
                     .mappings
             };
@@ -317,8 +339,7 @@ fn all_strategies_and_modes_agree_with_each_other_and_vf2() {
             assert_eq!(expected.len(), total as usize, "case={case} {algorithm}");
             for strategy in Strategy::ALL {
                 for mode in [CandidateMode::Intersection, CandidateMode::SingleParent] {
-                    let engine =
-                        Engine::prepare_planned(&pattern, &target, algorithm, mode, strategy);
+                    let engine = planned(&pattern, &target, algorithm, mode, strategy);
                     let mappings = collect_all(&engine);
                     assert_eq!(
                         mappings, expected,
@@ -340,7 +361,7 @@ fn intersection_handles_self_loops_and_edge_labels_deterministically() {
     pb.add_edge(a, a, 5);
     pb.add_edge(a, b, 7);
     pb.add_edge(b, a, 8);
-    let pattern = pb.build();
+    let pattern = Arc::new(pb.build());
 
     let mut tb = GraphBuilder::new();
     for i in 0..6u32 {
@@ -354,13 +375,13 @@ fn intersection_handles_self_loops_and_edge_labels_deterministically() {
     tb.add_edge(3, 0, 9); // back-edge label mismatch
     tb.add_edge(2, 5, 7);
     tb.add_edge(5, 2, 8); // both labels right, but node 2's loop label is wrong
-    let target = tb.build();
+    let target = Arc::new(tb.build());
 
     let oracle = sge::vf2::count_matches(&pattern, &target);
     assert_eq!(oracle, 1, "exactly the (0 -> 0, b -> 1) embedding survives");
     for algorithm in [Algorithm::Ri, Algorithm::RiDs, Algorithm::RiDsSiFc] {
         for mode in [CandidateMode::Intersection, CandidateMode::SingleParent] {
-            let engine = Engine::prepare_with_mode(&pattern, &target, algorithm, mode);
+            let engine = planned(&pattern, &target, algorithm, mode, Strategy::default());
             for scheduler in [
                 Scheduler::Sequential,
                 Scheduler::work_stealing(2),
@@ -383,9 +404,9 @@ fn zero_deadline_times_out_uniformly_across_schedulers() {
     // Time-limit parity: an already-expired budget must report `timed_out`
     // with zero work under every scheduler — not depend on whether a
     // periodic in-search deadline check happens to fire.
-    let pattern = sge::graph::generators::undirected_cycle(4, 0);
-    let target = sge::graph::generators::grid(4, 4);
-    let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+    let pattern = Arc::new(sge::graph::generators::undirected_cycle(4, 0));
+    let target = Arc::new(sge::graph::generators::grid(4, 4));
+    let engine = prepare(&pattern, &target, Algorithm::RiDsSiFc);
     for scheduler in all_schedulers(4) {
         let outcome = engine.run(&RunConfig::new(scheduler).with_time_limit(Duration::ZERO));
         assert!(outcome.timed_out, "{scheduler}: expected timed_out");
@@ -395,8 +416,8 @@ fn zero_deadline_times_out_uniformly_across_schedulers() {
     }
     // Degenerate instances finish before the clock matters and agree too:
     // the empty pattern yields its one empty embedding without a timeout…
-    let empty = GraphBuilder::new().build();
-    let engine = Engine::prepare(&empty, &target, Algorithm::Ri);
+    let empty = Arc::new(GraphBuilder::new().build());
+    let engine = prepare(&empty, &target, Algorithm::Ri);
     for scheduler in all_schedulers(4) {
         let outcome = engine.run(&RunConfig::new(scheduler).with_time_limit(Duration::ZERO));
         assert_eq!(outcome.matches, 1, "{scheduler}");
@@ -405,8 +426,8 @@ fn zero_deadline_times_out_uniformly_across_schedulers() {
     // …and an impossible instance reports zero matches, not a timeout.
     let mut pb = GraphBuilder::new();
     pb.add_node(99);
-    let impossible = pb.build();
-    let engine = Engine::prepare(&impossible, &target, Algorithm::RiDs);
+    let impossible = Arc::new(pb.build());
+    let engine = prepare(&impossible, &target, Algorithm::RiDs);
     for scheduler in all_schedulers(4) {
         let outcome = engine.run(&RunConfig::new(scheduler).with_time_limit(Duration::ZERO));
         assert_eq!(outcome.matches, 0, "{scheduler}");
@@ -418,9 +439,9 @@ fn zero_deadline_times_out_uniformly_across_schedulers() {
 fn collected_mappings_are_deterministic_across_schedulers() {
     for case in 0..4u64 {
         let mut rng = SplitMix64::new(0xD00D ^ case);
-        let target = random_labeled_graph(rng.next_u64(), 14, 0.2, 2);
-        let pattern = extracted_pattern(rng.next_u64(), &target, 3);
-        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDs);
+        let target = Arc::new(random_labeled_graph(rng.next_u64(), 14, 0.2, 2));
+        let pattern = Arc::new(extracted_pattern(rng.next_u64(), &target, 3));
+        let engine = prepare(&pattern, &target, Algorithm::RiDs);
         let total = engine.run(&RunConfig::default()).matches as usize;
         let config_for = |s: Scheduler| RunConfig::new(s).with_collected_mappings(total + 1);
         let reference = engine.run(&config_for(Scheduler::Sequential)).mappings;
@@ -440,10 +461,10 @@ fn streamed_rows_cross_validate_against_collection_and_vf2() {
     for case in 0..6u64 {
         let mut rng = SplitMix64::new(0x57AE ^ case);
         let n = 10 + rng.next_below(6);
-        let target = random_labeled_graph(rng.next_u64(), n, 0.2, 2);
-        let pattern = extracted_pattern(rng.next_u64(), &target, 4);
+        let target = Arc::new(random_labeled_graph(rng.next_u64(), n, 0.2, 2));
+        let pattern = Arc::new(extracted_pattern(rng.next_u64(), &target, 4));
         let oracle = sge::vf2::count_matches(&pattern, &target);
-        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+        let engine = prepare(&pattern, &target, Algorithm::RiDsSiFc);
         let reference = engine
             .run(&RunConfig::default().with_collected_mappings(1_000_000))
             .mappings;
