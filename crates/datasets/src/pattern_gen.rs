@@ -131,11 +131,8 @@ mod tests {
             None,
             None,
         );
-        let limits = sge_ri::SearchLimits {
-            max_matches: Some(1),
-            ..sge_ri::SearchLimits::default()
-        };
-        sge_ri::search_prepared(&ctx, &limits, |_, _| {}).matches
+        let control = sge_util::RunControl::new(Some(1), None, None);
+        sge_ri::search_sequential(&ctx, &control, &sge_ri::MatchSink::new(None, 0)).matches
     }
     use crate::target_gen::{generate_target, TargetSpec};
     use sge_graph::generators;

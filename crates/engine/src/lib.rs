@@ -35,6 +35,11 @@
 //! Only scheduling artifacts (steal counts, per-worker breakdowns, wall-clock
 //! times) may differ.
 //!
+//! The stop protocol and match delivery are shared too: every run builds one
+//! [`RunControl`] (match budget, deadline, cancellation) and one
+//! [`MatchSink`] (visitor and collector), and every scheduler claims and
+//! records matches through them.
+//!
 //! That contract is what makes *planner-routed* scheduling safe: the serving
 //! layer may pick any [`Scheduler`] per query from the plan's cost estimate
 //! (small trees stay on the sequential count-only fast path, large ones fan
@@ -48,15 +53,21 @@
 
 use sge_graph::{AdjacencyBitmaps, BitmapConfig, Graph, NodeId};
 use sge_obs::TraceSink;
-use sge_parallel::{enumerate_prepared, enumerate_rayon_prepared, ParallelConfig, ParallelResult};
+use sge_parallel::{enumerate_prepared, enumerate_rayon_prepared, worker_stats};
 use sge_ri::{
-    search_prepared, Algorithm, CandidateMode, ChannelVisitor, CollectingVisitor, KernelChoice,
-    KernelUsage, MatchVisitor, Planner, QueryPlan, SearchContext, SearchLimits, Strategy,
+    search_sequential, Algorithm, CandidateMode, ChannelVisitor, KernelChoice, KernelUsage,
+    MatchSink, MatchVisitor, Planner, QueryPlan, SearchContext, Strategy,
 };
-use sge_stealing::WorkerStats;
-use sge_util::CancelToken;
+use sge_stealing::{EngineConfig, RunResult, WorkerStats};
+use sge_util::{CancelToken, RunControl};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The most worker threads a parsed scheduler may ask for.  The wire
+/// protocol and the CLIs honour a parsed worker count verbatim, and every
+/// worker is an OS thread, so the count is capped where text becomes a
+/// [`Scheduler`].
+pub const MAX_WORKERS: usize = 256;
 
 /// Which execution strategy drives the search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -152,6 +163,8 @@ impl std::str::FromStr for Scheduler {
     /// * `ws:<workers>:<group>` — explicit task-group size
     /// * `ws:<workers>:<group>:nosteal` — the static-partition baseline
     /// * `rayon:<workers>` — the rayon-style first-level pool
+    ///
+    /// Worker counts above [`MAX_WORKERS`] are rejected.
     fn from_str(text: &str) -> Result<Self, Self::Err> {
         let lower = text.to_ascii_lowercase();
         if lower == "seq" || lower == "sequential" {
@@ -165,6 +178,11 @@ impl std::str::FromStr for Scheduler {
                 .map_err(|_| format!("invalid worker count '{w}' in scheduler '{text}'"))?,
             None => return Err(format!("scheduler '{text}' is missing a worker count")),
         };
+        if workers > MAX_WORKERS {
+            return Err(format!(
+                "worker count {workers} in scheduler '{text}' exceeds the maximum of {MAX_WORKERS}"
+            ));
+        }
         match kind {
             "ws" | "work-stealing" => {
                 let task_group_size = match parts.next() {
@@ -541,8 +559,8 @@ impl Engine {
     /// The sink records candidate generation and consistency checks at every
     /// match-order position; per-position totals are schedule-invariant on
     /// complete runs (the scheduler-equivalence contract extends to the
-    /// observed counts), and the parallel schedulers additionally add their
-    /// steal/task counters.  A sink disables the sequential count-only
+    /// observed counts), and the work-stealing scheduler additionally adds
+    /// its steal/task counters.  A sink disables the count-only last-depth
     /// shortcut, which would skip the per-candidate observations.  Without a
     /// sink the hot path pays a single predictable branch.
     pub fn run_traced(
@@ -612,11 +630,13 @@ impl Engine {
         self.run(&RunConfig::default()).matches
     }
 
+    /// The one run path: one [`RunControl`] and one [`MatchSink`] per run,
+    /// whatever the scheduler.
     fn execute(
         &self,
         config: &RunConfig,
         visitor: Option<&dyn MatchVisitor>,
-        sink: Option<&TraceSink>,
+        trace: Option<&TraceSink>,
         cancel: Option<&Arc<CancelToken>>,
     ) -> EnumerationOutcome {
         // A fresh per-run view: the kernel counters it carries belong to
@@ -627,135 +647,55 @@ impl Engine {
             &self.plan,
             self.mode,
             self.bitmaps.as_deref(),
-            sink,
+            trace,
         );
-        let parallel =
-            |workers: usize, task_group_size: usize, steal_enabled: bool| ParallelConfig {
-                workers: workers.max(1),
-                task_group_size: task_group_size.max(1),
-                steal_enabled,
-                max_matches: config.max_matches,
-                time_limit: config.time_limit,
-                collect_limit: config.collect_mappings,
-                cancel: cancel.map(Arc::clone),
-                seed: config.seed,
-            };
-        let mut outcome = match config.scheduler {
-            Scheduler::Sequential => run_sequential(&ctx, config, visitor, cancel),
+        let control = RunControl::new(config.max_matches, config.time_limit, cancel.cloned());
+        let sink = MatchSink::new(visitor, config.collect_mappings);
+        let start = Instant::now();
+        let run = match config.scheduler {
+            Scheduler::Sequential => {
+                let counts = search_sequential(&ctx, &control, &sink);
+                let elapsed = start.elapsed().as_secs_f64();
+                let mut worker = worker_stats(0, counts);
+                worker.busy_seconds = elapsed;
+                RunResult::from_workers(vec![worker], elapsed)
+            }
             Scheduler::WorkStealing {
                 workers,
                 task_group_size,
                 stealing,
-            } => parallel_outcome(
-                &ctx,
-                config,
-                enumerate_prepared(&ctx, &parallel(workers, task_group_size, stealing), visitor),
-            ),
-            Scheduler::Rayon { workers } => parallel_outcome(
-                &ctx,
-                config,
-                enumerate_rayon_prepared(&ctx, &parallel(workers, 1, false), visitor),
-            ),
+            } => {
+                let engine = EngineConfig {
+                    num_workers: workers,
+                    task_group_size,
+                    steal_enabled: stealing,
+                    seed: config.seed,
+                };
+                enumerate_prepared(&ctx, &engine, &control, &sink)
+            }
+            Scheduler::Rayon { workers } => {
+                enumerate_rayon_prepared(&ctx, workers, &control, &sink)
+            }
         };
-        outcome.preprocess_seconds = self.preprocess_seconds;
-        outcome.kernels = ctx.kernel_totals();
-        outcome
-    }
-}
-
-fn run_sequential(
-    ctx: &SearchContext<'_>,
-    config: &RunConfig,
-    visitor: Option<&dyn MatchVisitor>,
-    cancel: Option<&Arc<CancelToken>>,
-) -> EnumerationOutcome {
-    let limits = SearchLimits {
-        max_matches: config.max_matches,
-        time_limit: config.time_limit,
-        cancel: cancel.map(Arc::clone),
-        // The promise behind the last-depth counting fast path: with no
-        // visitor and no mapping collection, nothing observes individual
-        // matches.
-        count_only: visitor.is_none() && config.collect_mappings == 0,
-    };
-    let (run, mut mappings) = if limits.count_only {
-        // Count-only fast path: nothing observes individual matches, so
-        // skip the per-match observer machinery entirely — no mapping
-        // materialization, no collector consultation, just the counter.
-        (search_prepared(ctx, &limits, |_, _| {}), Vec::new())
-    } else {
-        let collector = CollectingVisitor::new(config.collect_mappings);
-        let run = search_prepared(ctx, &limits, |ctx, state| {
-            // Build the mapping only for observers that still want it:
-            // once the collector is full, a visitor-less run stops
-            // allocating.
-            let collecting = !collector.is_full();
-            if visitor.is_none() && !collecting {
-                return;
-            }
-            let mapping = ctx.mapping_by_pattern_node(state);
-            if let Some(v) = visitor {
-                v.on_match(0, &mapping);
-            }
-            if collecting {
-                collector.on_match(0, &mapping);
-            }
-        });
-        (run, collector.take())
-    };
-    // The sequential collector sees matches in DFS order; sorting gives
-    // the same order contract as the parallel schedulers.
-    mappings.sort_unstable();
-    EnumerationOutcome {
-        algorithm: ctx.algorithm(),
-        strategy: ctx.strategy(),
-        scheduler: config.scheduler,
-        workers: 1,
-        matches: run.matches,
-        states: run.states,
-        preprocess_seconds: 0.0,
-        match_seconds: run.match_seconds,
-        timed_out: run.timed_out,
-        limit_hit: run.limit_hit,
-        cancelled: run.cancelled,
-        steals: 0,
-        steal_requests: 0,
-        worker_states_stddev: 0.0,
-        worker_stats: vec![WorkerStats {
-            worker_id: 0,
+        EnumerationOutcome {
+            algorithm: ctx.algorithm(),
+            strategy: ctx.strategy(),
+            scheduler: config.scheduler,
+            workers: config.scheduler.workers(),
+            matches: run.solutions,
             states: run.states,
-            solutions: run.matches,
-            busy_seconds: run.match_seconds,
-            ..WorkerStats::default()
-        }],
-        mappings,
-        kernels: KernelUsage::default(),
-    }
-}
-
-fn parallel_outcome(
-    ctx: &SearchContext<'_>,
-    config: &RunConfig,
-    result: ParallelResult,
-) -> EnumerationOutcome {
-    EnumerationOutcome {
-        algorithm: result.algorithm,
-        strategy: ctx.strategy(),
-        scheduler: config.scheduler,
-        workers: result.workers,
-        matches: result.matches,
-        states: result.states,
-        preprocess_seconds: 0.0,
-        match_seconds: result.match_seconds,
-        timed_out: result.timed_out,
-        limit_hit: result.limit_hit,
-        cancelled: result.cancelled,
-        steals: result.steals,
-        steal_requests: result.steal_requests,
-        worker_states_stddev: result.worker_states_stddev,
-        worker_stats: result.worker_stats,
-        mappings: result.mappings,
-        kernels: KernelUsage::default(),
+            preprocess_seconds: self.preprocess_seconds,
+            match_seconds: run.elapsed_seconds,
+            timed_out: control.timed_out(),
+            limit_hit: control.limit_hit(),
+            cancelled: control.cancelled(),
+            steals: run.steals,
+            steal_requests: run.steal_requests,
+            worker_states_stddev: run.worker_states_stddev(),
+            worker_stats: run.workers,
+            mappings: sink.take_sorted(),
+            kernels: ctx.kernel_totals(),
+        }
     }
 }
 
@@ -1090,6 +1030,15 @@ mod tests {
         assert!("fibers:2".parse::<Scheduler>().is_err());
         assert!("ws:4:2:nosteal:steal".parse::<Scheduler>().is_err());
         assert!("rayon:2:9".parse::<Scheduler>().is_err());
+        // Worker counts are capped at parse time; nothing here runs them.
+        assert_eq!(
+            "ws:256".parse::<Scheduler>().unwrap(),
+            Scheduler::work_stealing(MAX_WORKERS)
+        );
+        for over in ["ws:257", "rayon:257", "ws:100000:4:nosteal"] {
+            let err = over.parse::<Scheduler>().unwrap_err();
+            assert!(err.contains("256"), "{over}: {err}");
+        }
     }
 
     #[test]

@@ -15,33 +15,39 @@
 //!
 //! Two ablation schedulers are also provided:
 //!
-//! * [`ParallelConfig::with_stealing`]`(false)` — the same initial
+//! * `EngineConfig { steal_enabled: false, .. }` — the same initial
 //!   distribution with stealing disabled (the "no work stealing" baseline of
-//!   Fig. 3),
+//!   Fig. 3; `Scheduler::WorkStealing { stealing: false, .. }` in
+//!   `sge-engine`),
 //! * [`rayon_pool`] — first-level dynamic parallelism over the root
-//!   candidates, each expanded with the sequential matcher (what you get "for
+//!   candidates, each expanded with the sequential driver (what you get "for
 //!   free" from a library scheduler such as rayon; useful to quantify what
 //!   the paper's bespoke scheme adds).
 //!
 //! Every scheduler takes a prepared [`sge_ri::SearchContext`] through its
 //! `*_prepared` entry point, so preprocessing is paid once per instance no
-//! matter how many runs are executed — this is what the unified `sge::Engine`
-//! builds on.
+//! matter how many runs are executed, and the same run contract as the
+//! sequential driver: a [`sge_util::RunControl`] (match budget, deadline,
+//! cancellation) and a [`sge_ri::MatchSink`] (visitor and collector).  This
+//! is what the unified `sge::Engine` builds on.
 //!
 //! # Example
 //!
 //! ```
 //! use sge_graph::generators;
-//! use sge_parallel::{enumerate_prepared, ParallelConfig};
-//! use sge_ri::{Algorithm, CandidateMode, Planner, SearchContext};
+//! use sge_parallel::enumerate_prepared;
+//! use sge_ri::{Algorithm, CandidateMode, MatchSink, Planner, SearchContext};
+//! use sge_stealing::EngineConfig;
+//! use sge_util::RunControl;
 //!
 //! let pattern = generators::directed_cycle(3, 0);
 //! let target = generators::clique(5, 0);
 //! let plan = Planner::default().plan(&pattern, &target, Algorithm::RiDsSiFc);
 //! let ctx = SearchContext::new(&pattern, &target, &plan, CandidateMode::default(), None, None);
-//! let config = ParallelConfig::default().with_workers(4);
-//! let result = enumerate_prepared(&ctx, &config, None);
-//! assert_eq!(result.matches, 60);
+//! let control = RunControl::new(None, None, None);
+//! let sink = MatchSink::new(None, 0);
+//! let result = enumerate_prepared(&ctx, &EngineConfig::with_workers(4), &control, &sink);
+//! assert_eq!(result.solutions, 60);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,4 +59,4 @@ pub mod runner;
 
 pub use problem::SubgraphProblem;
 pub use rayon_pool::enumerate_rayon_prepared;
-pub use runner::{enumerate_prepared, ParallelConfig, ParallelResult};
+pub use runner::{enumerate_prepared, worker_stats};

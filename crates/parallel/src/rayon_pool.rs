@@ -6,10 +6,11 @@
 //! parallelizes only the *first level* of the state-space tree: the root
 //! tasks (`µ1 ↦ v_t`) form a shared queue that worker threads drain with an
 //! atomic cursor — exactly the load-balancing granularity `rayon::par_iter`
-//! achieves on this workload — and each claimed subtree is searched
-//! sequentially.  Unlike the paper's engine, a single large subtree can never
-//! be split once it is running, which is the situation the paper's Fig. 3/4
-//! analysis shows matters on irregular instances.
+//! achieves on this workload — and each claimed subtree is searched by the
+//! sequential driver (`sge_ri::SubtreeSearch`, count-only last-depth
+//! shortcut included).  Unlike the paper's engine, a single large subtree
+//! can never be split once it is running, which is the situation the paper's
+//! Fig. 3/4 analysis shows matters on irregular instances.
 //!
 //! (The build environment is offline, so the real `rayon` crate is not a
 //! dependency; the scheduler below reproduces its observable behaviour on
@@ -18,223 +19,47 @@
 //! The experiment harness uses this as an ablation baseline; it is not part
 //! of the reproduction of any specific figure.
 
-use crate::runner::{ParallelConfig, ParallelResult};
-use sge_graph::NodeId;
-use sge_ri::{CollectingVisitor, MatchVisitor, SearchContext, WorkerState};
-use sge_stealing::WorkerStats;
-use sge_util::MatchBudget;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use crate::runner::{settled, worker_stats};
+use sge_ri::{settle_trivial, MatchSink, SearchContext, SubtreeSearch};
+use sge_stealing::{RunResult, WorkerStats};
+use sge_util::RunControl;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// How often (in visited states) a worker consults the wall clock.
-const DEADLINE_CHECK_INTERVAL: u64 = 4096;
-
-/// Shared early-stop state: match budget, deadline, cancellation and the
-/// stop flag.
-struct Stop {
-    flag: AtomicBool,
-    timed_out: AtomicBool,
-    budget: MatchBudget,
-    deadline: Option<Instant>,
-    cancel: Option<std::sync::Arc<sge_util::CancelToken>>,
-    cancelled: AtomicBool,
-}
-
-impl Stop {
-    fn new(config: &ParallelConfig, start: Instant) -> Self {
-        Stop {
-            flag: AtomicBool::new(false),
-            timed_out: AtomicBool::new(false),
-            budget: MatchBudget::new(config.max_matches),
-            deadline: config.time_limit.map(|limit| start + limit),
-            cancel: config.cancel.clone(),
-            cancelled: AtomicBool::new(false),
-        }
-    }
-
-    #[inline]
-    fn stopped(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-
-    /// `true` once the external cancellation token has fired; latches the
-    /// result flag and the stop flag on first observation.
-    fn cancel_requested(&self) -> bool {
-        match &self.cancel {
-            Some(token) if token.is_cancelled() => {
-                self.cancelled.store(true, Ordering::SeqCst);
-                self.flag.store(true, Ordering::SeqCst);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Claims one slot of the match budget; `true` means "count this match".
-    /// Cancellation trips this path like an exhausted budget: matches found
-    /// after the token fired are discarded.
-    fn claim(&self) -> bool {
-        if self.cancel_requested() {
-            return false;
-        }
-        let counted = self.budget.claim();
-        if self.budget.is_exhausted() {
-            self.flag.store(true, Ordering::SeqCst);
-        }
-        counted
-    }
-
-    fn check_interrupts(&self) {
-        self.cancel_requested();
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                self.timed_out.store(true, Ordering::SeqCst);
-                self.flag.store(true, Ordering::SeqCst);
-            }
-        }
-    }
-}
-
-struct Explorer<'a, 'g> {
-    ctx: &'a SearchContext<'g>,
-    stop: &'a Stop,
-    visitor: Option<&'a dyn MatchVisitor>,
-    collector: Option<&'a CollectingVisitor>,
-    worker_id: usize,
-    buffers: Vec<Vec<NodeId>>,
-    matches: u64,
-    states: u64,
-}
-
-impl Explorer<'_, '_> {
-    /// Recursively explores the subtree rooted at `depth`.
-    fn explore(&mut self, state: &mut WorkerState, depth: usize) {
-        let np = self.ctx.num_positions();
-        let mut candidates = std::mem::take(&mut self.buffers[depth]);
-        self.ctx.candidates(depth, state, &mut candidates);
-        for &vt in &candidates {
-            if self.stop.stopped() {
-                break;
-            }
-            self.states += 1;
-            if self.states.is_multiple_of(DEADLINE_CHECK_INTERVAL) {
-                self.stop.check_interrupts();
-            }
-            if !self.ctx.is_consistent(depth, vt, state) {
-                continue;
-            }
-            state.assign(depth, vt);
-            if depth + 1 == np {
-                self.record_match(state);
-            } else {
-                self.explore(state, depth + 1);
-            }
-            state.unassign(depth);
-        }
-        self.buffers[depth] = candidates;
-    }
-
-    fn record_match(&mut self, state: &WorkerState) {
-        if !self.stop.claim() {
-            return;
-        }
-        self.matches += 1;
-        // Build the mapping only for observers that still want it: once the
-        // collector is full, a visitor-less run stops allocating per match.
-        let collector = self.collector.filter(|c| !c.is_full());
-        if self.visitor.is_none() && collector.is_none() {
-            return;
-        }
-        let mapping = self.ctx.mapping_by_pattern_node(state);
-        if let Some(visitor) = self.visitor {
-            visitor.on_match(self.worker_id, &mapping);
-        }
-        if let Some(collector) = collector {
-            collector.on_match(self.worker_id, &mapping);
-        }
-    }
-}
-
-/// Runs the first-level dynamic scheduler over an already-prepared
-/// [`SearchContext`] (preprocessing is not re-paid).  Honors `workers`, `max_matches`, `time_limit` and `collect_limit`
-/// from `config`; `task_group_size`, `steal_enabled` and `seed` do not apply
-/// to this scheduler.  Steal counters in the result are always 0.
+/// Runs the first-level dynamic scheduler on `workers` threads over an
+/// already-prepared [`SearchContext`] (preprocessing is not re-paid), under
+/// the same `control` and `sink` contract as every other scheduler.  Steal
+/// counters in the result are always 0.
 pub fn enumerate_rayon_prepared(
     ctx: &SearchContext<'_>,
-    config: &ParallelConfig,
-    visitor: Option<&dyn MatchVisitor>,
-) -> ParallelResult {
-    let workers = config.workers.max(1);
-    let mut result = ParallelResult::empty(ctx.algorithm(), workers);
-
-    if ctx.num_positions() == 0 {
-        crate::runner::empty_pattern_outcome(config, visitor, &mut result);
-        return result;
-    }
-    if ctx.impossible() {
-        return result;
-    }
-
+    workers: usize,
+    control: &RunControl,
+    sink: &MatchSink<'_>,
+) -> RunResult {
     let start = Instant::now();
-    let np = ctx.num_positions();
-    let mut roots: Vec<NodeId> = Vec::new();
+    if let Some(counts) = settle_trivial(ctx, control, sink) {
+        return settled(counts, start);
+    }
+    let mut roots = Vec::new();
     ctx.candidates(0, &ctx.new_state(), &mut roots);
-
-    let collector = CollectingVisitor::new(config.collect_limit);
-    let stop = Stop::new(config, start);
-    // An already-expired deadline (or pre-fired cancellation token) stops the
-    // run before any worker claims a root, mirroring the sequential matcher
-    // and the stealing engine.
-    stop.check_interrupts();
     let cursor = AtomicUsize::new(0);
 
     let worker_stats: Vec<WorkerStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (0..workers.max(1))
             .map(|worker_id| {
                 let roots = &roots;
-                let stop = &stop;
                 let cursor = &cursor;
-                let collector = &collector;
                 scope.spawn(move || {
-                    let mut explorer = Explorer {
-                        ctx,
-                        stop,
-                        visitor,
-                        collector: (config.collect_limit > 0).then_some(collector),
-                        worker_id,
-                        buffers: vec![Vec::new(); np],
-                        matches: 0,
-                        states: 0,
-                    };
+                    let mut search = SubtreeSearch::new(ctx, control, sink, worker_id);
                     let mut state = ctx.new_state();
-                    loop {
-                        if stop.stopped() {
-                            break;
-                        }
+                    while !control.is_stopped() {
                         let index = cursor.fetch_add(1, Ordering::SeqCst);
-                        let Some(&root) = roots.get(index) else {
+                        let Some(root) = roots.get(index) else {
                             break;
                         };
-                        // The root consistency check counts as a state, as in
-                        // the sequential driver and the stealing engine.
-                        explorer.states += 1;
-                        if !ctx.is_consistent(0, root, &state) {
-                            continue;
-                        }
-                        state.assign(0, root);
-                        if np == 1 {
-                            explorer.record_match(&state);
-                        } else {
-                            explorer.explore(&mut state, 1);
-                        }
-                        state.unassign(0);
+                        search.run(&mut state, 0, std::slice::from_ref(root));
                     }
-                    WorkerStats {
-                        worker_id,
-                        states: explorer.states,
-                        solutions: explorer.matches,
-                        ..WorkerStats::default()
-                    }
+                    worker_stats(worker_id, search.counts())
                 })
             })
             .collect();
@@ -243,30 +68,14 @@ pub fn enumerate_rayon_prepared(
             .map(|handle| handle.join().expect("rayon-pool worker panicked"))
             .collect()
     });
-
-    let run = sge_stealing::RunResult::from_workers(
-        worker_stats,
-        start.elapsed().as_secs_f64(),
-        stop.timed_out.load(Ordering::SeqCst),
-    );
-    result.matches = run.solutions;
-    result.states = run.states;
-    result.match_seconds = run.elapsed_seconds;
-    result.timed_out = run.timed_out;
-    result.limit_hit = stop.budget.is_exhausted();
-    result.cancelled = stop.cancelled.load(Ordering::SeqCst);
-    result.worker_states_stddev = run.worker_states_stddev();
-    result.worker_stats = run.workers;
-    result.mappings = collector.take();
-    result.mappings.sort_unstable();
-    result
+    RunResult::from_workers(worker_stats, start.elapsed().as_secs_f64())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sge_graph::{generators, Graph};
-    use sge_ri::{search_prepared, Algorithm, CandidateMode, Planner, QueryPlan, SearchLimits};
+    use sge_graph::{generators, Graph, NodeId};
+    use sge_ri::{search_sequential, Algorithm, CandidateMode, Planner, QueryPlan};
     use std::time::Duration;
 
     fn plan(pattern: &Graph, target: &Graph, algorithm: Algorithm) -> QueryPlan {
@@ -281,16 +90,32 @@ mod tests {
         SearchContext::new(pattern, target, plan, CandidateMode::default(), None, None)
     }
 
+    fn unlimited() -> RunControl {
+        RunControl::new(None, None, None)
+    }
+
+    /// Runs the first-level pool once on `workers` under `control`,
+    /// collecting up to `collect` mappings.
+    fn pool(
+        ctx: &SearchContext<'_>,
+        workers: usize,
+        control: &RunControl,
+        collect: usize,
+    ) -> (RunResult, Vec<Vec<NodeId>>) {
+        let sink = MatchSink::new(None, collect);
+        let result = enumerate_rayon_prepared(ctx, workers, control, &sink);
+        (result, sink.take_sorted())
+    }
+
     /// Plans `algorithm` and runs the first-level pool once on `workers`.
     fn enumerate_rayon(
         pattern: &Graph,
         target: &Graph,
         algorithm: Algorithm,
         workers: usize,
-    ) -> ParallelResult {
+    ) -> RunResult {
         let plan = plan(pattern, target, algorithm);
-        let config = ParallelConfig::default().with_workers(workers);
-        enumerate_rayon_prepared(&context(pattern, target, &plan), &config, None)
+        pool(&context(pattern, target, &plan), workers, &unlimited(), 0).0
     }
 
     #[test]
@@ -299,13 +124,13 @@ mod tests {
         let target = generators::clique(6, 0);
         for algorithm in [Algorithm::Ri, Algorithm::RiDsSiFc] {
             let plan = plan(&pattern, &target, algorithm);
-            let sequential = search_prepared(
+            let sequential = search_sequential(
                 &context(&pattern, &target, &plan),
-                &SearchLimits::default(),
-                |_, _| {},
+                &unlimited(),
+                &MatchSink::new(None, 0),
             );
             let result = enumerate_rayon(&pattern, &target, algorithm, 2);
-            assert_eq!(result.matches, sequential.matches, "{algorithm}");
+            assert_eq!(result.solutions, sequential.matches, "{algorithm}");
             assert_eq!(result.states, sequential.states, "{algorithm}");
         }
     }
@@ -315,7 +140,7 @@ mod tests {
         let empty = sge_graph::GraphBuilder::new().build();
         let target = generators::clique(4, 0);
         assert_eq!(
-            enumerate_rayon(&empty, &target, Algorithm::Ri, 2).matches,
+            enumerate_rayon(&empty, &target, Algorithm::Ri, 2).solutions,
             1
         );
 
@@ -323,7 +148,7 @@ mod tests {
         pb.add_node(99);
         let impossible = pb.build();
         assert_eq!(
-            enumerate_rayon(&impossible, &target, Algorithm::RiDs, 2).matches,
+            enumerate_rayon(&impossible, &target, Algorithm::RiDs, 2).solutions,
             0
         );
     }
@@ -335,12 +160,10 @@ mod tests {
         let plan = plan(&pattern, &target, Algorithm::Ri);
         let ctx = context(&pattern, &target, &plan);
         for workers in [1usize, 3] {
-            let config = ParallelConfig::default()
-                .with_workers(workers)
-                .with_max_matches(11);
-            let result = enumerate_rayon_prepared(&ctx, &config, None);
-            assert_eq!(result.matches, 11, "workers={workers}");
-            assert!(result.limit_hit);
+            let control = RunControl::new(Some(11), None, None);
+            let (result, _) = pool(&ctx, workers, &control, 0);
+            assert_eq!(result.solutions, 11, "workers={workers}");
+            assert!(control.limit_hit());
         }
     }
 
@@ -350,15 +173,12 @@ mod tests {
         let target = generators::clique(4, 0); // 24 embeddings
         let plan = plan(&pattern, &target, Algorithm::RiDs);
         let ctx = context(&pattern, &target, &plan);
-        let config = ParallelConfig::default()
-            .with_workers(3)
-            .with_collected_mappings(100);
-        let result = enumerate_rayon_prepared(&ctx, &config, None);
-        assert_eq!(result.mappings.len(), 24);
-        let mut sorted = result.mappings.clone();
+        let (_, mappings) = pool(&ctx, 3, &unlimited(), 100);
+        assert_eq!(mappings.len(), 24);
+        let mut sorted = mappings.clone();
         sorted.sort_unstable();
-        assert_eq!(sorted, result.mappings);
-        for mapping in &result.mappings {
+        assert_eq!(sorted, mappings);
+        for mapping in &mappings {
             for (u, v, l) in pattern.edges() {
                 assert_eq!(
                     target.edge_label(mapping[u as usize], mapping[v as usize]),
@@ -374,15 +194,13 @@ mod tests {
         let target = generators::grid(5, 5);
         let plan = plan(&pattern, &target, Algorithm::Ri);
         let ctx = context(&pattern, &target, &plan);
-        let config = ParallelConfig::default()
-            .with_workers(2)
-            .with_time_limit(Duration::from_millis(1));
-        let limited = enumerate_rayon_prepared(&ctx, &config, None);
-        let full = enumerate_rayon_prepared(&ctx, &ParallelConfig::default().with_workers(2), None);
-        if limited.timed_out {
-            assert!(limited.matches <= full.matches);
+        let control = RunControl::new(None, Some(Duration::from_millis(1)), None);
+        let (limited, _) = pool(&ctx, 2, &control, 0);
+        let (full, _) = pool(&ctx, 2, &unlimited(), 0);
+        if control.timed_out() {
+            assert!(limited.solutions <= full.solutions);
         } else {
-            assert_eq!(limited.matches, full.matches);
+            assert_eq!(limited.solutions, full.solutions);
         }
     }
 }

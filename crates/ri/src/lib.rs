@@ -34,15 +34,17 @@
 //!
 //! ```
 //! use sge_graph::generators;
-//! use sge_ri::{search_prepared, Algorithm, CandidateMode, Planner, SearchContext, SearchLimits};
+//! use sge_ri::{search_sequential, Algorithm, CandidateMode, MatchSink, Planner, SearchContext};
+//! use sge_util::RunControl;
 //!
 //! // Find all directed 3-cycles in a 4-clique.
 //! let pattern = generators::directed_cycle(3, 0);
 //! let target = generators::clique(4, 0);
 //! let plan = Planner::default().plan(&pattern, &target, Algorithm::Ri);
 //! let ctx = SearchContext::new(&pattern, &target, &plan, CandidateMode::default(), None, None);
-//! let run = search_prepared(&ctx, &SearchLimits::default(), |_, _| {});
-//! assert_eq!(run.matches, 24);
+//! let control = RunControl::new(None, None, None);
+//! let counts = search_sequential(&ctx, &control, &MatchSink::new(None, 0));
+//! assert_eq!(counts.matches, 24);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -61,10 +63,10 @@ pub use kernels::{
     assert_kernel_parity, check_kernel_parity, intersect_gallop, intersect_reference, KernelCells,
     KernelDivergence, KernelUsage,
 };
-pub use matcher::{search_prepared, Algorithm, SearchLimits, SearchRun};
-pub use search::{CandidateMode, SearchContext, WorkerState};
+pub use matcher::{search_sequential, settle_trivial, Algorithm, SubtreeSearch};
+pub use search::{CandidateMode, SearchContext, SearchCounts, WorkerState};
 pub use sge_plan::{
     greatest_constraint_first, CandidatePlan, Domains, EdgeConstraint, KernelChoice, MatchOrder,
     ParentLink, PlanStep, Planner, QueryPlan, Strategy,
 };
-pub use visitor::{ChannelVisitor, CollectingVisitor, MatchVisitor, NoopVisitor};
+pub use visitor::{ChannelVisitor, CollectingVisitor, MatchSink, MatchVisitor, NoopVisitor};

@@ -1,274 +1,203 @@
 //! The sequential enumeration driver.
 //!
-//! [`search_prepared`] runs the depth-first search over a prepared
-//! [`SearchContext`] and reports the quantities the paper's evaluation is
-//! built on: match count, *search space size* (number of states visited,
-//! i.e. consistency checks performed), matching time, and whether a time
-//! limit, match limit or cancellation stopped it.
+//! [`SubtreeSearch`] runs the depth-first search below any state of a
+//! [`SearchContext`] under a shared [`RunControl`], handing every match to a
+//! [`MatchSink`].  The sequential scheduler ([`search_sequential`]) runs it
+//! from the root; the rayon-style pool runs it once per claimed root.  Both
+//! report the quantities the paper's evaluation is built on: the match count
+//! and the *search space size* (states visited, i.e. consistency checks
+//! performed).
 
-use crate::search::{SearchContext, WorkerState};
+use crate::search::{SearchContext, SearchCounts, WorkerState};
+use crate::visitor::MatchSink;
 use sge_graph::NodeId;
-use sge_util::CancelToken;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use sge_util::{RunControl, POLL_INTERVAL};
 
 // The algorithm selector moved to the planning crate with the rest of the
 // preprocessing machinery; re-exported here so `sge_ri::Algorithm` and
 // `sge_ri::matcher::Algorithm` keep working.
 pub use sge_plan::Algorithm;
 
-/// Search-phase knobs of one prepared run — everything *except* the
-/// preprocessing choices, which are fixed once a [`SearchContext`] exists.
-#[derive(Clone, Debug, Default)]
-pub struct SearchLimits {
-    /// Stop after this many matches (`None` = enumerate all).
-    pub max_matches: Option<u64>,
-    /// Wall-clock budget for the matching phase.
-    pub time_limit: Option<Duration>,
-    /// Cooperative cancellation flag, polled alongside the match budget;
-    /// when it fires the search stops early and reports
-    /// [`SearchRun::cancelled`] (counts become lower bounds, exactly like a
-    /// timed-out run).  The streaming bridge uses this to stop enumeration
-    /// once its consumer is gone.
-    pub cancel: Option<Arc<CancelToken>>,
-    /// Caller's promise that the visitor is a no-op (nothing observes
-    /// individual matches or mappings).  Lets unbounded, untimed runs take
-    /// the last-depth bitmap counting fast path, which adds the final
-    /// position's states and matches by popcount instead of enumerating
-    /// them.  Counters stay byte-identical either way.
-    pub count_only: bool,
-}
-
-/// Raw outcome of one prepared sequential search (no preprocessing figures —
-/// preprocessing happened when the context's plan was built).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SearchRun {
-    /// Number of embeddings found.
-    pub matches: u64,
-    /// States visited (consistency checks performed).
-    pub states: u64,
-    /// Matching wall-clock seconds.
-    pub match_seconds: f64,
-    /// Whether the time limit interrupted the search.
-    pub timed_out: bool,
-    /// Whether the match limit stopped the search early.
-    pub limit_hit: bool,
-    /// Whether a [`CancelToken`] stopped the search early.
-    pub cancelled: bool,
-}
-
-struct SearchDriver<'a, F> {
-    ctx: &'a SearchContext<'a>,
-    state: WorkerState,
-    candidate_buffers: Vec<Vec<NodeId>>,
-    states: u64,
-    matches: u64,
-    deadline: Option<Instant>,
-    timed_out: bool,
-    max_matches: Option<u64>,
-    cancel: Option<&'a CancelToken>,
-    cancelled: bool,
-    count_only: bool,
-    visitor: F,
-}
-
-impl<'a, F: FnMut(&SearchContext<'a>, &WorkerState)> SearchDriver<'a, F> {
-    fn stop(&mut self) -> bool {
-        if self.timed_out || self.cancelled {
-            return true;
+/// Settles the runs that need no search, identically for every scheduler:
+/// an empty pattern has exactly one embedding, the empty mapping, which is
+/// claimed against the budget and recorded like any other match; a context
+/// whose preprocessing proved infeasibility has none.  `None` means the
+/// search must run.
+pub fn settle_trivial(
+    ctx: &SearchContext<'_>,
+    control: &RunControl,
+    sink: &MatchSink<'_>,
+) -> Option<SearchCounts> {
+    if ctx.num_positions() == 0 {
+        let mut counts = SearchCounts::default();
+        if control.claim() {
+            counts.matches = 1;
+            sink.record(0, ctx, &ctx.new_state());
         }
-        if let Some(cancel) = self.cancel {
-            // The load is relaxed and only taken when a token exists, so
-            // uncancellable runs pay nothing on the hot path.
-            if cancel.is_cancelled() {
-                self.cancelled = true;
-                return true;
-            }
-        }
-        if let Some(limit) = self.max_matches {
-            if self.matches >= limit {
-                return true;
-            }
-        }
-        false
+        return Some(counts);
     }
+    ctx.impossible().then(SearchCounts::default)
+}
 
-    fn check_deadline(&mut self) {
-        if let Some(deadline) = self.deadline {
-            // Only consult the clock every 4096 states; Instant::now is cheap
-            // but not free, and the paper measures in whole milliseconds.
-            if self.states.is_multiple_of(4096) && Instant::now() >= deadline {
-                self.timed_out = true;
-            }
+/// One worker's depth-first search: candidate buffers per position, the
+/// worker's counts, and the run's shared control and sink.
+pub struct SubtreeSearch<'r, 'c> {
+    ctx: &'r SearchContext<'c>,
+    control: &'r RunControl,
+    sink: &'r MatchSink<'r>,
+    worker_id: usize,
+    observed: bool,
+    count_final: bool,
+    buffers: Vec<Vec<NodeId>>,
+    counts: SearchCounts,
+}
+
+impl<'r, 'c> SubtreeSearch<'r, 'c> {
+    /// A search for worker `worker_id` of the run `control` governs.
+    pub fn new(
+        ctx: &'r SearchContext<'c>,
+        control: &'r RunControl,
+        sink: &'r MatchSink<'r>,
+        worker_id: usize,
+    ) -> Self {
+        SubtreeSearch {
+            ctx,
+            control,
+            sink,
+            worker_id,
+            // A count-only sink would drop every match anyway.
+            observed: !sink.is_count_only(),
+            // Last-depth counting shortcut: when nothing observes individual
+            // matches and nothing can interrupt mid-position, the final
+            // position's states and matches come straight off the bitmap
+            // popcount or the candidate list (byte-identical counts, see
+            // `SearchContext::count_final_candidates`).
+            count_final: sink.is_count_only() && control.is_unbounded(),
+            buffers: vec![Vec::new(); ctx.num_positions()],
+            counts: SearchCounts::default(),
         }
     }
 
-    fn search(&mut self, depth: usize) {
-        let np = self.ctx.num_positions();
-        // Last-depth counting fast path: when nothing observes individual
-        // matches and no budget can interrupt mid-position, the final
-        // position's states and matches come straight off the bitmap
-        // popcount (byte-identical counts, see
-        // `SearchContext::count_final_candidates`).
-        let count_final = depth + 1 == np
-            && self.count_only
-            && self.max_matches.is_none()
-            && self.deadline.is_none()
-            && self.cancel.is_none();
-        if count_final {
-            if let Some(count) = self.ctx.count_final_candidates(depth, &self.state) {
-                self.states += count.states;
-                self.matches += count.matches;
-                return;
-            }
-        }
-        let mut candidates = std::mem::take(&mut self.candidate_buffers[depth]);
-        self.ctx.candidates(depth, &self.state, &mut candidates);
-        if count_final {
-            if let Some(count) =
-                self.ctx
-                    .final_count_from_candidates(depth, &self.state, &candidates)
+    /// States visited and matches counted by this worker so far.
+    pub fn counts(&self) -> SearchCounts {
+        self.counts
+    }
+
+    /// Searches the subtrees rooted at mapping position `depth` onto each of
+    /// `roots` in turn, until they are exhausted or the run stops.  `state`
+    /// must have positions `0..depth` assigned; it is restored on return.
+    /// Every root is a visited state (its consistency check counts).
+    pub fn run(&mut self, state: &mut WorkerState, depth: usize, roots: &[NodeId]) {
+        let last = depth + 1 == self.ctx.num_positions();
+        for &vt in roots {
+            if self.control.is_stopped()
+                || (self.counts.states.is_multiple_of(POLL_INTERVAL) && self.control.poll())
             {
-                self.states += count.states;
-                self.matches += count.matches;
-                self.candidate_buffers[depth] = candidates;
-                return;
-            }
-        }
-        for &vt in &candidates {
-            if self.stop() {
                 break;
             }
-            self.states += 1;
-            self.check_deadline();
-            if !self.ctx.is_consistent(depth, vt, &self.state) {
+            self.counts.states += 1;
+            if !self.ctx.is_consistent(depth, vt, state) {
                 continue;
             }
-            self.state.assign(depth, vt);
-            if depth + 1 == np {
-                self.matches += 1;
-                (self.visitor)(self.ctx, &self.state);
-            } else {
-                self.search(depth + 1);
+            state.assign(depth, vt);
+            if !last {
+                self.expand(state, depth + 1);
+            } else if self.control.claim() {
+                self.counts.matches += 1;
+                if self.observed {
+                    self.sink.record(self.worker_id, self.ctx, state);
+                }
             }
-            self.state.unassign(depth);
+            state.unassign(depth);
         }
-        self.candidate_buffers[depth] = candidates;
+    }
+
+    fn expand(&mut self, state: &mut WorkerState, depth: usize) {
+        let count_final = self.count_final && depth + 1 == self.ctx.num_positions();
+        if count_final {
+            if let Some(count) = self.ctx.count_final_candidates(depth, state) {
+                self.add(count);
+                return;
+            }
+        }
+        let mut candidates = std::mem::take(&mut self.buffers[depth]);
+        self.ctx.candidates(depth, state, &mut candidates);
+        let counted = if count_final {
+            self.ctx
+                .final_count_from_candidates(depth, state, &candidates)
+        } else {
+            None
+        };
+        match counted {
+            Some(count) => self.add(count),
+            None => self.run(state, depth, &candidates),
+        }
+        self.buffers[depth] = candidates;
+    }
+
+    fn add(&mut self, count: SearchCounts) {
+        self.counts.states += count.states;
+        self.counts.matches += count.matches;
     }
 }
 
-/// Runs the depth-first search over an already-prepared [`SearchContext`],
-/// invoking `visitor` for every match with the context and the complete
-/// worker state (use [`SearchContext::mapping_by_pattern_node`] to extract
-/// the mapping).
-///
-/// This is the prepared-artifact entry point the unified `sge::Engine` and
-/// the parallel runtime build on: preprocessing (domains, forward checking,
-/// GCF ordering) happened once when the context's plan was built and is
-/// amortized across repeated calls.  An empty pattern has exactly one (empty)
-/// embedding; a context whose preprocessing proved infeasibility returns
-/// immediately with zero matches.
-pub fn search_prepared<F>(
+/// The sequential scheduler: the whole search tree on the calling thread, as
+/// worker 0, over an already-prepared [`SearchContext`] (preprocessing —
+/// domains, forward checking, ordering — happened when its plan was built).
+pub fn search_sequential(
     ctx: &SearchContext<'_>,
-    limits: &SearchLimits,
-    mut visitor: F,
-) -> SearchRun
-where
-    F: FnMut(&SearchContext<'_>, &WorkerState),
-{
-    let mut run = SearchRun::default();
-    if ctx.num_positions() == 0 {
-        // The empty pattern has exactly one embedding: the empty mapping.
-        // It is subject to the match limit and observed by the visitor like
-        // any other match, so every scheduler agrees on this edge case.
-        if limits.max_matches == Some(0) {
-            run.limit_hit = true;
-            return run;
-        }
-        run.matches = 1;
-        run.limit_hit = limits.max_matches == Some(1);
-        visitor(ctx, &ctx.new_state());
-        return run;
+    control: &RunControl,
+    sink: &MatchSink<'_>,
+) -> SearchCounts {
+    if let Some(counts) = settle_trivial(ctx, control, sink) {
+        return counts;
     }
-    if ctx.impossible() {
-        return run;
-    }
-
-    let match_start = Instant::now();
-    let deadline = limits.time_limit.map(|limit| match_start + limit);
-    // Uniform deadline semantics across schedulers: a budget that is already
-    // exhausted when the search would start reports `timed_out` with zero
-    // work, instead of depending on whether the periodic in-search check
-    // (every 4096 states) ever fires.
-    if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-        run.timed_out = true;
-        run.match_seconds = match_start.elapsed().as_secs_f64();
-        return run;
-    }
-    let state = ctx.new_state();
-    let np = ctx.num_positions();
-    let mut driver = SearchDriver {
-        ctx,
-        state,
-        candidate_buffers: vec![Vec::new(); np],
-        states: 0,
-        matches: 0,
-        deadline,
-        timed_out: false,
-        max_matches: limits.max_matches,
-        cancel: limits.cancel.as_deref(),
-        cancelled: false,
-        count_only: limits.count_only,
-        visitor: |ctx: &SearchContext<'_>, state: &WorkerState| visitor(ctx, state),
-    };
-    driver.search(0);
-
-    run.matches = driver.matches;
-    run.states = driver.states;
-    run.timed_out = driver.timed_out;
-    run.cancelled = driver.cancelled;
-    run.limit_hit = limits
-        .max_matches
-        .is_some_and(|limit| driver.matches >= limit);
-    run.match_seconds = match_start.elapsed().as_secs_f64();
-    run
+    let mut state = ctx.new_state();
+    let mut roots = Vec::new();
+    ctx.candidates(0, &state, &mut roots);
+    let mut search = SubtreeSearch::new(ctx, control, sink, 0);
+    search.run(&mut state, 0, &roots);
+    search.counts()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::search::CandidateMode;
+    use crate::visitor::MatchVisitor;
     use sge_graph::{generators, Graph, GraphBuilder};
     use sge_plan::Planner;
+    use sge_util::CancelToken;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    fn unlimited() -> RunControl {
+        RunControl::new(None, None, None)
+    }
 
     /// Plans with the default strategy, then searches sequentially under
-    /// `limits`, collecting up to `collect` mappings.
+    /// `control`, collecting up to `collect` mappings.
     fn run(
         pattern: &Graph,
         target: &Graph,
         algorithm: Algorithm,
-        limits: &SearchLimits,
+        control: &RunControl,
         collect: usize,
-    ) -> (SearchRun, Vec<Vec<NodeId>>) {
+    ) -> (SearchCounts, Vec<Vec<NodeId>>) {
         let plan = Planner::default().plan(pattern, target, algorithm);
         let ctx = SearchContext::new(pattern, target, &plan, CandidateMode::default(), None, None);
-        let mut mappings = Vec::new();
-        let run = search_prepared(&ctx, limits, |ctx, state| {
-            if mappings.len() < collect {
-                mappings.push(ctx.mapping_by_pattern_node(state));
-            }
-        });
-        (run, mappings)
+        let sink = MatchSink::new(None, collect);
+        let counts = search_sequential(&ctx, control, &sink);
+        (counts, sink.take_sorted())
     }
 
     fn count(pattern: &Graph, target: &Graph, algorithm: Algorithm) -> u64 {
-        run(pattern, target, algorithm, &SearchLimits::default(), 0)
-            .0
-            .matches
+        run(pattern, target, algorithm, &unlimited(), 0).0.matches
     }
 
-    fn states(pattern: &Graph, target: &Graph, algorithm: Algorithm) -> SearchRun {
-        run(pattern, target, algorithm, &SearchLimits::default(), 0).0
+    fn states(pattern: &Graph, target: &Graph, algorithm: Algorithm) -> SearchCounts {
+        run(pattern, target, algorithm, &unlimited(), 0).0
     }
 
     #[test]
@@ -396,26 +325,17 @@ mod tests {
     fn max_matches_truncates_enumeration() {
         let pattern = generators::directed_path(2, 0);
         let target = generators::clique(6, 0);
-        let limits = SearchLimits {
-            max_matches: Some(5),
-            ..SearchLimits::default()
-        };
-        let (result, _) = run(&pattern, &target, Algorithm::Ri, &limits, 0);
+        let control = RunControl::new(Some(5), None, None);
+        let (result, _) = run(&pattern, &target, Algorithm::Ri, &control, 0);
         assert_eq!(result.matches, 5);
-        assert!(result.limit_hit);
+        assert!(control.limit_hit());
     }
 
     #[test]
     fn collected_mappings_are_valid_embeddings() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(4, 0);
-        let (_, mappings) = run(
-            &pattern,
-            &target,
-            Algorithm::RiDsSiFc,
-            &SearchLimits::default(),
-            10,
-        );
+        let (_, mappings) = run(&pattern, &target, Algorithm::RiDsSiFc, &unlimited(), 10);
         assert_eq!(mappings.len(), 10);
         for mapping in &mappings {
             assert_eq!(mapping.len(), pattern.num_nodes());
@@ -438,10 +358,11 @@ mod tests {
     fn search_space_is_reported_and_nonzero() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(5, 0);
-        let result = states(&pattern, &target, Algorithm::Ri);
+        let control = unlimited();
+        let (result, _) = run(&pattern, &target, Algorithm::Ri, &control, 0);
         assert!(result.states > 0);
-        assert!(result.match_seconds >= 0.0);
-        assert!(!result.timed_out);
+        assert!(result.matches > 0);
+        assert!(!control.timed_out());
     }
 
     #[test]
@@ -463,15 +384,14 @@ mod tests {
 
     #[test]
     fn timeout_flag_set_for_tiny_deadline() {
-        // A 6-cycle in a 6x6 grid is enough work that a zero time limit fires.
+        // The driver polls before its first state, so an expired deadline
+        // stops the search with zero work instead of racing the cadence.
         let pattern = generators::undirected_cycle(6, 0);
         let target = generators::grid(6, 6);
-        let limits = SearchLimits {
-            time_limit: Some(Duration::from_nanos(1)),
-            ..SearchLimits::default()
-        };
-        let (result, _) = run(&pattern, &target, Algorithm::Ri, &limits, 0);
-        assert!(result.timed_out || result.match_seconds < 0.05);
+        let control = RunControl::new(None, Some(Duration::ZERO), None);
+        let (result, _) = run(&pattern, &target, Algorithm::Ri, &control, 0);
+        assert!(control.timed_out());
+        assert_eq!(result, SearchCounts::default());
     }
 
     #[test]
@@ -487,29 +407,33 @@ mod tests {
             None,
             None,
         );
-        let cancel = Arc::new(CancelToken::new());
-        let limits = SearchLimits {
-            cancel: Some(Arc::clone(&cancel)),
-            ..SearchLimits::default()
-        };
-        let mut seen = 0u64;
-        let run = search_prepared(&ctx, &limits, |_, _| {
-            seen += 1;
-            if seen == 3 {
-                cancel.cancel();
+        /// Fires the token on the third match it observes.
+        struct CancelOnThird {
+            seen: AtomicU64,
+            token: Arc<CancelToken>,
+        }
+        impl MatchVisitor for CancelOnThird {
+            fn on_match(&self, _worker_id: usize, _mapping: &[NodeId]) {
+                if self.seen.fetch_add(1, Ordering::SeqCst) + 1 == 3 {
+                    self.token.cancel();
+                }
             }
-        });
-        assert!(run.cancelled);
-        assert_eq!(run.matches, 3, "the search stops at the next state");
-        assert!(!run.timed_out);
-        assert!(!run.limit_hit);
-        // A token that never fires changes nothing.
-        let untouched = SearchLimits {
-            cancel: Some(Arc::new(CancelToken::new())),
-            ..SearchLimits::default()
+        }
+        let cancel = Arc::new(CancelToken::new());
+        let control = RunControl::new(None, None, Some(Arc::clone(&cancel)));
+        let visitor = CancelOnThird {
+            seen: AtomicU64::new(0),
+            token: cancel,
         };
-        let full = search_prepared(&ctx, &untouched, |_, _| {});
-        assert!(!full.cancelled);
+        let run = search_sequential(&ctx, &control, &MatchSink::new(Some(&visitor), 0));
+        assert!(control.cancelled());
+        assert_eq!(run.matches, 3, "the search stops at the next match");
+        assert!(!control.timed_out());
+        assert!(!control.limit_hit());
+        // A token that never fires changes nothing.
+        let untouched = RunControl::new(None, None, Some(Arc::new(CancelToken::new())));
+        let full = search_sequential(&ctx, &untouched, &MatchSink::new(None, 0));
+        assert!(!untouched.cancelled());
         assert_eq!(full.matches, 132);
     }
 

@@ -77,13 +77,12 @@ impl std::str::FromStr for CandidateMode {
     }
 }
 
-/// What the last-depth counting fast path would contribute: every set bit
-/// of the final AND is a visited state, and the non-used ones are matches.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct FinalCount {
-    /// States the enumerating path would have visited at this depth.
+/// States visited and matches found by (part of) a search.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SearchCounts {
+    /// States visited: consistency checks performed.
     pub states: u64,
-    /// Matches among them (states minus injectivity rejections).
+    /// Matches counted.
     pub matches: u64,
 }
 
@@ -535,7 +534,7 @@ impl<'a> SearchContext<'a> {
         &self,
         depth: usize,
         state: &WorkerState,
-    ) -> Option<FinalCount> {
+    ) -> Option<SearchCounts> {
         debug_assert_eq!(depth + 1, self.num_positions());
         if self.mode != CandidateMode::Intersection || self.sink.is_some() {
             return None;
@@ -579,7 +578,7 @@ impl<'a> SearchContext<'a> {
                 .iter()
                 .filter(|&&vt| scratch[vt as usize / 64] >> (vt % 64) & 1 == 1)
                 .count() as u64;
-            FinalCount {
+            SearchCounts {
                 states,
                 matches: states - used,
             }
@@ -609,7 +608,7 @@ impl<'a> SearchContext<'a> {
         depth: usize,
         state: &WorkerState,
         candidates: &[NodeId],
-    ) -> Option<FinalCount> {
+    ) -> Option<SearchCounts> {
         debug_assert_eq!(depth + 1, self.num_positions());
         if self.mode != CandidateMode::Intersection || self.sink.is_some() {
             return None;
@@ -623,7 +622,7 @@ impl<'a> SearchContext<'a> {
             .iter()
             .filter(|&&vt| candidates.binary_search(&vt).is_ok())
             .count() as u64;
-        Some(FinalCount {
+        Some(SearchCounts {
             states,
             matches: states - used,
         })

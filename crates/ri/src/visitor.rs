@@ -12,7 +12,11 @@
 //! sync-channel to a consumer on another thread, so enumeration and
 //! consumption (e.g. socket writes) overlap with memory bounded by the
 //! channel capacity, and a vanished consumer cooperatively cancels the run.
+//!
+//! [`MatchSink`] is what every scheduler hands its matches to: the run's
+//! optional visitor plus its mapping collector.
 
+use crate::search::{SearchContext, WorkerState};
 use sge_graph::NodeId;
 use sge_util::CancelToken;
 use std::sync::mpsc::SyncSender;
@@ -39,8 +43,8 @@ impl MatchVisitor for NoopVisitor {
     fn on_match(&self, _worker_id: usize, _mapping: &[NodeId]) {}
 }
 
-/// Collects mappings under a mutex, up to a limit — the building block of
-/// `collect_mappings` support in the parallel schedulers.
+/// Collects mappings under a mutex, up to a limit — the collector half of
+/// [`MatchSink`], behind `collect_mappings` under every scheduler.
 ///
 /// Once full, further matches are ignored without taking the lock, so the
 /// collector stays off the hot path after the limit is reached; callers can
@@ -87,6 +91,58 @@ impl MatchVisitor for CollectingVisitor {
         if guard.len() >= self.limit {
             self.full.store(true, std::sync::atomic::Ordering::Relaxed);
         }
+    }
+}
+
+/// Where one run's matches go: an optional streaming visitor and a
+/// collector of up to `collect_limit` mappings.  Every scheduler records
+/// its matches here, from whichever worker found them.
+pub struct MatchSink<'v> {
+    visitor: Option<&'v dyn MatchVisitor>,
+    collector: CollectingVisitor,
+}
+
+impl<'v> MatchSink<'v> {
+    /// Streams matches to `visitor` (if any) and collects up to
+    /// `collect_limit` mappings (0 = none).
+    pub fn new(visitor: Option<&'v dyn MatchVisitor>, collect_limit: usize) -> Self {
+        MatchSink {
+            visitor,
+            collector: CollectingVisitor::new(collect_limit),
+        }
+    }
+
+    /// `true` when nothing observes individual matches, so a scheduler may
+    /// count them without materializing any mapping.
+    pub fn is_count_only(&self) -> bool {
+        self.visitor.is_none() && self.collector.limit == 0
+    }
+
+    /// Hands one complete match, found by worker `worker_id`, to the
+    /// observers.
+    pub fn record(&self, worker_id: usize, ctx: &SearchContext<'_>, state: &WorkerState) {
+        // Build the mapping only for observers that still want it: once the
+        // collector is full, a visitor-less run stops allocating per match.
+        let collecting = !self.collector.is_full();
+        if self.visitor.is_none() && !collecting {
+            return;
+        }
+        let mapping = ctx.mapping_by_pattern_node(state);
+        if let Some(visitor) = self.visitor {
+            visitor.on_match(worker_id, &mapping);
+        }
+        if collecting {
+            self.collector.on_match(worker_id, &mapping);
+        }
+    }
+
+    /// The collected mappings, sorted lexicographically: workers race for
+    /// the collector, so sorting is what makes a complete collection
+    /// identical under every scheduler.
+    pub fn take_sorted(&self) -> Vec<Vec<NodeId>> {
+        let mut mappings = self.collector.take();
+        mappings.sort_unstable();
+        mappings
     }
 }
 

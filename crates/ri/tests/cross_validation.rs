@@ -8,9 +8,17 @@
 use sge_graph::{AdjacencyBitmaps, BitmapConfig, Graph, GraphBuilder, GraphStats};
 use sge_ri::search::{CandidateMode, SearchContext, WorkerState};
 use sge_ri::{
-    check_kernel_parity, search_prepared, Algorithm, Planner, SearchLimits, SearchRun, Strategy,
+    check_kernel_parity, search_sequential, Algorithm, MatchSink, Planner, SearchCounts, Strategy,
 };
-use sge_util::SplitMix64;
+use sge_util::{RunControl, SplitMix64};
+
+/// A complete, count-only sequential search over `ctx`, with the control
+/// that governed it.
+fn count_all(ctx: &SearchContext<'_>) -> (SearchCounts, RunControl) {
+    let control = RunControl::new(None, None, None);
+    let counts = search_sequential(ctx, &control, &MatchSink::new(None, 0));
+    (counts, control)
+}
 
 /// Random labeled directed graph with `n` nodes, edge probability `p`, and
 /// `labels` distinct node labels.
@@ -69,7 +77,7 @@ fn extract_pattern(seed: u64, target: &Graph, k: usize) -> Graph {
 /// prepared like `Engine::prepare`: default strategy, intersection
 /// candidates, and a default bitmap sidecar whenever the plan routes a
 /// position to the bitmap kernel.
-fn enumerate(pattern: &Graph, target: &Graph, algo: Algorithm) -> SearchRun {
+fn enumerate(pattern: &Graph, target: &Graph, algo: Algorithm) -> (SearchCounts, RunControl) {
     let plan = Planner::default().plan(pattern, target, algo);
     let sidecar = plan
         .uses_bitmap_kernel()
@@ -82,13 +90,13 @@ fn enumerate(pattern: &Graph, target: &Graph, algo: Algorithm) -> SearchRun {
         sidecar.as_ref(),
         None,
     );
-    search_prepared(&ctx, &SearchLimits::default(), |_, _| {})
+    count_all(&ctx)
 }
 
 fn all_algorithms_agree(pattern: &Graph, target: &Graph) {
     let oracle = sge_vf2::count_matches(pattern, target);
     for algo in Algorithm::ALL {
-        let result = enumerate(pattern, target, algo);
+        let (result, control) = enumerate(pattern, target, algo);
         assert_eq!(
             result.matches,
             oracle,
@@ -96,7 +104,7 @@ fn all_algorithms_agree(pattern: &Graph, target: &Graph) {
             pattern.num_nodes(),
             target.num_nodes()
         );
-        assert!(!result.timed_out);
+        assert!(!control.timed_out());
     }
 }
 
@@ -145,7 +153,7 @@ fn randomized_ri_family_matches_vf2() {
         let pattern = extract_pattern(rng.next_u64(), &target, k);
         let oracle = sge_vf2::count_matches(&pattern, &target);
         for algo in Algorithm::ALL {
-            let result = enumerate(&pattern, &target, algo);
+            let (result, _) = enumerate(&pattern, &target, algo);
             assert_eq!(result.matches, oracle, "case={case} {algo}");
         }
     }
@@ -291,9 +299,8 @@ fn kernel_paths_produce_byte_identical_candidate_sets() {
             walk_and_compare(case, 0, &gallop, &bitmap, &mut state);
 
             let oracle = sge_vf2::count_matches(&pattern, &target);
-            let limits = SearchLimits::default();
-            let g = search_prepared(&gallop, &limits, |_, _| {});
-            let b = search_prepared(&bitmap, &limits, |_, _| {});
+            let (g, _) = count_all(&gallop);
+            let (b, _) = count_all(&bitmap);
             assert_eq!(g.matches, oracle, "case={case} {algo}: gallop vs VF2");
             assert_eq!(b.matches, oracle, "case={case} {algo}: bitmap vs VF2");
         }
@@ -310,8 +317,8 @@ fn randomized_search_space_of_ds_family_not_larger_than_ri() {
         let k = 3 + rng.next_below(3);
         let target = random_graph(rng.next_u64(), n, 0.12, 4);
         let pattern = extract_pattern(rng.next_u64(), &target, k);
-        let ri = enumerate(&pattern, &target, Algorithm::Ri);
-        let ds = enumerate(&pattern, &target, Algorithm::RiDs);
+        let (ri, _) = enumerate(&pattern, &target, Algorithm::Ri);
+        let (ds, _) = enumerate(&pattern, &target, Algorithm::RiDs);
         assert_eq!(ri.matches, ds.matches, "case={case}");
         assert!(
             ds.states <= ri.states,

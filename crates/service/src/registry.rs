@@ -52,7 +52,7 @@ struct ShardMeta {
     replication_hops: usize,
 }
 
-/// See module docs; holds one [`TargetEntry`] per registered name.
+/// See module docs; holds one target entry per registered name.
 pub struct GraphRegistry {
     graphs: RwLock<HashMap<String, TargetEntry>>,
     interner: SharedInterner,

@@ -10,7 +10,7 @@
 //!
 //! `SHUTDOWN` answers, stops the accept loop (a loopback self-connection
 //! wakes the blocking `accept`), and the server then waits for in-flight
-//! connection handlers on a [`ConnectionTracker`] — a counter plus condvar,
+//! connection handlers on a `ConnectionTracker` — a counter plus condvar,
 //! so draining parks instead of burning a sleep-spin — up to a drain
 //! deadline measured on the server's injectable [`Clock`].
 

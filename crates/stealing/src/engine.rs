@@ -21,22 +21,22 @@
 //!   use of `std::atomic_compare_exchange_weak`),
 //! * `transfers` — one cell per *thief*, through which the victim hands over a
 //!   stolen task group together with the prefix of choices it needs.
+//!
+//! The run's match budget, deadline and cancellation live in the caller's
+//! [`RunControl`]; whenever it reports the run stopped, the worker that
+//! noticed forces termination.
 
 use crate::problem::BacktrackProblem;
 use crate::stats::{RunResult, WorkerStats};
 use crate::task::{PrivateDeque, TaskGroup, Transfer};
 use crate::termination::Termination;
-use sge_util::{CancelToken, MatchBudget, SplitMix64};
+use sge_util::{RunControl, SplitMix64, POLL_INTERVAL};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// Sentinel meaning "no pending steal request".
 const NO_REQUEST: usize = usize::MAX;
-
-/// How often (in executed tasks / spin iterations) the wall clock is consulted
-/// for the time limit.
-const DEADLINE_CHECK_INTERVAL: u64 = 1024;
 
 /// Configuration of one parallel run.
 #[derive(Clone, Debug)]
@@ -48,18 +48,6 @@ pub struct EngineConfig {
     /// When `false`, workers only process their initial share (the "no work
     /// stealing" baseline of Fig. 3).
     pub steal_enabled: bool,
-    /// Optional wall-clock limit for the whole parallel phase.
-    pub time_limit: Option<Duration>,
-    /// Stop cooperatively once this many solutions have been recorded across
-    /// all workers (`None` = run to exhaustion).  The engine guarantees that
-    /// exactly `min(max_solutions, total)` solutions are counted and reported
-    /// to [`BacktrackProblem::on_solution`].
-    pub max_solutions: Option<u64>,
-    /// External cooperative cancellation: when the token fires, termination
-    /// is forced exactly as if the solution budget had been exhausted, and
-    /// the result reports `cancelled`.  Solutions discovered after the token
-    /// fires are discarded, not counted.
-    pub cancel: Option<Arc<CancelToken>>,
     /// Seed for the (deterministic per worker) victim-selection RNG.
     pub seed: u64,
 }
@@ -72,9 +60,6 @@ impl Default for EngineConfig {
                 .unwrap_or(1),
             task_group_size: 4,
             steal_enabled: true,
-            time_limit: None,
-            max_solutions: None,
-            cancel: None,
             seed: 0x5EED_1234_ABCD,
         }
     }
@@ -101,24 +86,6 @@ impl EngineConfig {
         self.steal_enabled = enabled;
         self
     }
-
-    /// Sets a wall-clock time limit.
-    pub fn time_limit(mut self, limit: Duration) -> Self {
-        self.time_limit = Some(limit);
-        self
-    }
-
-    /// Stops the run cooperatively after `limit` solutions.
-    pub fn max_solutions(mut self, limit: u64) -> Self {
-        self.max_solutions = Some(limit);
-        self
-    }
-
-    /// Attaches an external cancellation token.
-    pub fn cancel_token(mut self, token: Arc<CancelToken>) -> Self {
-        self.cancel = Some(token);
-        self
-    }
 }
 
 /// One thief's transfer mailbox.
@@ -137,17 +104,10 @@ struct Shared<C> {
     requests: Vec<AtomicUsize>,
     transfers: Vec<Mutex<TransferCell<C>>>,
     termination: Termination,
-    deadline: Option<Instant>,
-    timed_out: AtomicBool,
-    /// Budget of countable solutions (`EngineConfig::max_solutions`); claims
-    /// beyond it are discarded, so the counted total is exact.
-    budget: MatchBudget,
-    cancel: Option<Arc<CancelToken>>,
-    cancelled: AtomicBool,
 }
 
 impl<C> Shared<C> {
-    fn new(workers: usize, deadline: Option<Instant>, config: &EngineConfig) -> Self {
+    fn new(workers: usize) -> Self {
         Shared {
             work_available: (0..workers).map(|_| AtomicBool::new(false)).collect(),
             requests: (0..workers).map(|_| AtomicUsize::new(NO_REQUEST)).collect(),
@@ -155,42 +115,7 @@ impl<C> Shared<C> {
                 .map(|_| Mutex::new(TransferCell::Empty))
                 .collect(),
             termination: Termination::new(workers),
-            deadline,
-            timed_out: AtomicBool::new(false),
-            budget: MatchBudget::new(config.max_solutions),
-            cancel: config.cancel.clone(),
-            cancelled: AtomicBool::new(false),
         }
-    }
-
-    /// Checks the global deadline; on expiry forces termination.
-    fn check_deadline(&self) {
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                self.timed_out.store(true, Ordering::SeqCst);
-                self.termination.force();
-            }
-        }
-    }
-
-    /// `true` once the external cancellation token has fired; latches the
-    /// `cancelled` result flag and forces termination the first time it is
-    /// observed.
-    fn cancel_requested(&self) -> bool {
-        match &self.cancel {
-            Some(token) if token.is_cancelled() => {
-                self.cancelled.store(true, Ordering::SeqCst);
-                self.termination.force();
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// The per-tick interrupt poll: cancellation, then the deadline.
-    fn check_interrupts(&self) {
-        self.cancel_requested();
-        self.check_deadline();
     }
 }
 
@@ -199,6 +124,7 @@ struct Worker<'a, P: BacktrackProblem> {
     problem: &'a P,
     shared: &'a Shared<P::Choice>,
     config: &'a EngineConfig,
+    control: &'a RunControl,
     deque: PrivateDeque<P::Choice>,
     state: P::State,
     /// Choices applied so far, by level; `path.len()` is the applied depth.
@@ -216,12 +142,14 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
         problem: &'a P,
         shared: &'a Shared<P::Choice>,
         config: &'a EngineConfig,
+        control: &'a RunControl,
     ) -> Self {
         Worker {
             id,
             problem,
             shared,
             config,
+            control,
             deque: PrivateDeque::new(),
             state: problem.new_state(),
             path: Vec::new(),
@@ -263,10 +191,7 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
         self.path.push(choice);
 
         if depth + 1 == self.total_depth {
-            if self.claim_solution() {
-                self.stats.solutions += 1;
-                self.problem.on_solution(self.id, &self.state);
-            }
+            self.record_solution();
             return;
         }
 
@@ -298,23 +223,17 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
         }
     }
 
-    /// Claims one slot of the shared solution budget.  Returns `true` when the
-    /// solution should be counted; once the budget is exhausted termination is
-    /// forced so all workers stop promptly, and over-claims are discarded —
-    /// the run reports exactly `min(max_solutions, total)` solutions.
-    ///
-    /// An external cancellation trips this path too: solutions found after
-    /// the token fired are discarded, so cancellation behaves exactly like a
-    /// budget that ran out the moment the token fired.
-    fn claim_solution(&mut self) -> bool {
-        if self.shared.cancel_requested() {
-            return false;
+    /// Counts and reports the complete assignment in `self.state` if the
+    /// run's budget still has room; a claim that stops the run forces
+    /// termination so all workers stop promptly.
+    fn record_solution(&mut self) {
+        if self.control.claim() {
+            self.stats.solutions += 1;
+            self.problem.on_solution(self.id, &self.state);
         }
-        let counted = self.shared.budget.claim();
-        if self.shared.budget.is_exhausted() {
+        if self.control.is_stopped() {
             self.shared.termination.force();
         }
-        counted
     }
 
     /// Answers at most one pending steal request: hand over the back group (and
@@ -357,11 +276,13 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
         self.shared.work_available[self.id].store(true, Ordering::SeqCst);
     }
 
+    /// Polls the run control on the first tick and every
+    /// [`POLL_INTERVAL`] after, forcing termination once it stops.
     fn tick(&mut self) {
-        self.ticks += 1;
-        if self.ticks.is_multiple_of(DEADLINE_CHECK_INTERVAL) {
-            self.shared.check_interrupts();
+        if self.ticks.is_multiple_of(POLL_INTERVAL) && self.control.poll() {
+            self.shared.termination.force();
         }
+        self.ticks += 1;
     }
 
     /// Receiver-initiated steal loop: repeatedly request work from a random
@@ -369,7 +290,7 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
     /// `true` when work was obtained.
     fn acquire(&mut self) -> bool {
         self.shared.work_available[self.id].store(false, Ordering::SeqCst);
-        let workers = self.config.num_workers;
+        let workers = self.shared.work_available.len();
         let mut spins: u64 = 0;
         loop {
             if self.shared.termination.is_terminated() {
@@ -449,10 +370,10 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
     fn run(&mut self) {
         let start = Instant::now();
         loop {
+            self.tick();
             if self.shared.termination.is_terminated() {
                 break;
             }
-            self.tick();
             if self.deque.is_empty() {
                 if !self.config.steal_enabled {
                     // Static initial partition only (Fig. 3 baseline).
@@ -474,32 +395,30 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
     }
 }
 
-/// Runs the parallel backtracking search over `problem`.
+/// Runs the parallel backtracking search over `problem` under `control`,
+/// which bounds the solutions counted (exactly `min(max_matches, total)`
+/// reach [`BacktrackProblem::on_solution`]), the wall-clock time and
+/// cancellation, and afterwards tells which of them stopped the run.
 ///
 /// The children of the state-space root are distributed round-robin over the
 /// workers' private deques (Section 3.3); from then on the receiver-initiated
 /// work-stealing protocol balances the load.
 ///
-/// A problem with `depth() == 0` has exactly one (empty) solution.
-pub fn run<P: BacktrackProblem>(problem: &P, config: &EngineConfig) -> RunResult {
+/// A problem with `depth() == 0` has exactly one solution: the root.
+pub fn run<P: BacktrackProblem>(
+    problem: &P,
+    config: &EngineConfig,
+    control: &RunControl,
+) -> RunResult {
     let start = Instant::now();
     let workers = config.num_workers.max(1);
     let total_depth = problem.depth();
+    let shared: Shared<P::Choice> = Shared::new(workers);
 
     if total_depth == 0 {
-        let mut stats = vec![WorkerStats::default(); workers];
-        for (id, w) in stats.iter_mut().enumerate() {
-            w.worker_id = id;
-        }
-        // The empty problem has one (empty) solution, unless the budget is 0.
-        let budget = MatchBudget::new(config.max_solutions);
-        if budget.claim() {
-            stats[0].solutions = 1;
-            problem.on_solution(0, &problem.new_state());
-        }
-        let mut result = RunResult::from_workers(stats, start.elapsed().as_secs_f64(), false);
-        result.limit_hit = budget.is_exhausted();
-        return result;
+        let mut root = Worker::new(0, problem, &shared, config, control);
+        root.record_solution();
+        return RunResult::from_workers(vec![root.stats], start.elapsed().as_secs_f64());
     }
 
     // Initial work distribution: one task per child of the root, dealt
@@ -511,14 +430,6 @@ pub fn run<P: BacktrackProblem>(problem: &P, config: &EngineConfig) -> RunResult
     for (i, choice) in roots.into_iter().enumerate() {
         per_worker[i % workers].push(choice);
     }
-
-    let deadline = config.time_limit.map(|limit| start + limit);
-    let shared: Shared<P::Choice> = Shared::new(workers, deadline, config);
-    // An already-expired deadline (or an already-fired cancellation token)
-    // forces termination before any worker runs, so every scheduler agrees
-    // on the degenerate outcome (zero work) instead of racing the periodic
-    // per-worker interrupt checks.
-    shared.check_interrupts();
     let group_size = config.task_group_size.max(1);
 
     let worker_stats: Vec<WorkerStats> = std::thread::scope(|scope| {
@@ -528,7 +439,7 @@ pub fn run<P: BacktrackProblem>(problem: &P, config: &EngineConfig) -> RunResult
             .enumerate()
             .map(|(id, share)| {
                 scope.spawn(move || {
-                    let mut worker = Worker::new(id, problem, shared, config);
+                    let mut worker = Worker::new(id, problem, shared, config, control);
                     for chunk in share.chunks(group_size) {
                         worker
                             .deque
@@ -546,19 +457,19 @@ pub fn run<P: BacktrackProblem>(problem: &P, config: &EngineConfig) -> RunResult
             .collect()
     });
 
-    let mut result = RunResult::from_workers(
-        worker_stats,
-        start.elapsed().as_secs_f64(),
-        shared.timed_out.load(Ordering::SeqCst),
-    );
-    result.limit_hit = shared.budget.is_exhausted();
-    result.cancelled = shared.cancelled.load(Ordering::SeqCst);
-    result
+    RunResult::from_workers(worker_stats, start.elapsed().as_secs_f64())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sge_util::CancelToken;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    fn unlimited() -> RunControl {
+        RunControl::new(None, None, None)
+    }
 
     /// N-Queens as a [`BacktrackProblem`]: level = row, choice = column.
     struct NQueens {
@@ -617,9 +528,10 @@ mod tests {
     fn single_worker_matches_known_counts() {
         for n in [4usize, 5, 6, 7, 8] {
             let problem = NQueens { n };
-            let result = run(&problem, &EngineConfig::with_workers(1));
+            let control = unlimited();
+            let result = run(&problem, &EngineConfig::with_workers(1), &control);
             assert_eq!(result.solutions, queens_solutions(n), "n={n}");
-            assert!(!result.timed_out);
+            assert!(!control.timed_out());
         }
     }
 
@@ -627,7 +539,7 @@ mod tests {
     fn multiple_workers_match_known_counts() {
         for workers in [2usize, 3, 4, 8] {
             let problem = NQueens { n: 8 };
-            let result = run(&problem, &EngineConfig::with_workers(workers));
+            let result = run(&problem, &EngineConfig::with_workers(workers), &unlimited());
             assert_eq!(result.solutions, 92, "workers={workers}");
             assert_eq!(result.workers.len(), workers);
         }
@@ -636,9 +548,9 @@ mod tests {
     #[test]
     fn states_are_independent_of_worker_count() {
         let problem = NQueens { n: 7 };
-        let sequential = run(&problem, &EngineConfig::with_workers(1));
+        let sequential = run(&problem, &EngineConfig::with_workers(1), &unlimited());
         for workers in [2usize, 4, 6] {
-            let parallel = run(&problem, &EngineConfig::with_workers(workers));
+            let parallel = run(&problem, &EngineConfig::with_workers(workers), &unlimited());
             assert_eq!(parallel.states, sequential.states, "workers={workers}");
             assert_eq!(parallel.solutions, sequential.solutions);
         }
@@ -647,11 +559,12 @@ mod tests {
     #[test]
     fn task_group_size_does_not_change_results() {
         let problem = NQueens { n: 7 };
-        let reference = run(&problem, &EngineConfig::with_workers(3)).solutions;
+        let reference = run(&problem, &EngineConfig::with_workers(3), &unlimited()).solutions;
         for group_size in [1usize, 2, 4, 8, 16] {
             let result = run(
                 &problem,
                 &EngineConfig::with_workers(3).task_group_size(group_size),
+                &unlimited(),
             );
             assert_eq!(result.solutions, reference, "group_size={group_size}");
         }
@@ -660,7 +573,11 @@ mod tests {
     #[test]
     fn no_steal_mode_still_finds_all_solutions() {
         let problem = NQueens { n: 8 };
-        let result = run(&problem, &EngineConfig::with_workers(4).steal(false));
+        let result = run(
+            &problem,
+            &EngineConfig::with_workers(4).steal(false),
+            &unlimited(),
+        );
         assert_eq!(result.solutions, 92);
         assert_eq!(result.steals, 0);
     }
@@ -676,7 +593,7 @@ mod tests {
         let problem = NQueens { n: 9 };
         let mut steals = 0;
         for _ in 0..20 {
-            let result = run(&problem, &EngineConfig::with_workers(8));
+            let result = run(&problem, &EngineConfig::with_workers(8), &unlimited());
             assert_eq!(result.solutions, 352);
             steals += result.steals;
             if steals > 0 {
@@ -692,7 +609,7 @@ mod tests {
     #[test]
     fn more_workers_than_root_tasks() {
         let problem = NQueens { n: 5 };
-        let result = run(&problem, &EngineConfig::with_workers(12));
+        let result = run(&problem, &EngineConfig::with_workers(12), &unlimited());
         assert_eq!(result.solutions, 10);
     }
 
@@ -700,7 +617,7 @@ mod tests {
     fn unsolvable_instance_terminates_with_zero_solutions() {
         let problem = NQueens { n: 3 };
         for workers in [1usize, 2, 4] {
-            let result = run(&problem, &EngineConfig::with_workers(workers));
+            let result = run(&problem, &EngineConfig::with_workers(workers), &unlimited());
             assert_eq!(result.solutions, 0, "workers={workers}");
         }
     }
@@ -708,7 +625,7 @@ mod tests {
     #[test]
     fn zero_depth_problem_has_one_solution() {
         let problem = NQueens { n: 0 };
-        let result = run(&problem, &EngineConfig::with_workers(4));
+        let result = run(&problem, &EngineConfig::with_workers(4), &unlimited());
         assert_eq!(result.solutions, 1);
     }
 
@@ -716,25 +633,23 @@ mod tests {
     fn solution_budget_stops_early_and_is_exact() {
         let problem = NQueens { n: 8 };
         for workers in [1usize, 3, 6] {
-            let config = EngineConfig::with_workers(workers).max_solutions(10);
-            let result = run(&problem, &config);
+            let control = RunControl::new(Some(10), None, None);
+            let result = run(&problem, &EngineConfig::with_workers(workers), &control);
             assert_eq!(result.solutions, 10, "workers={workers}");
-            assert!(result.limit_hit);
+            assert!(control.limit_hit());
             let counted: u64 = result.workers.iter().map(|w| w.solutions).sum();
             assert_eq!(counted, 10);
         }
         // A budget larger than the solution count changes nothing.
-        let config = EngineConfig::with_workers(2).max_solutions(1000);
-        let result = run(&problem, &config);
+        let control = RunControl::new(Some(1000), None, None);
+        let result = run(&problem, &EngineConfig::with_workers(2), &control);
         assert_eq!(result.solutions, 92);
-        assert!(!result.limit_hit);
+        assert!(!control.limit_hit());
         // A zero budget yields zero solutions, even for zero-depth problems.
-        let result = run(&problem, &EngineConfig::with_workers(2).max_solutions(0));
+        let zero = || RunControl::new(Some(0), None, None);
+        let result = run(&problem, &EngineConfig::with_workers(2), &zero());
         assert_eq!(result.solutions, 0);
-        let result = run(
-            &NQueens { n: 0 },
-            &EngineConfig::with_workers(2).max_solutions(0),
-        );
+        let result = run(&NQueens { n: 0 }, &EngineConfig::with_workers(2), &zero());
         assert_eq!(result.solutions, 0);
     }
 
@@ -774,7 +689,7 @@ mod tests {
             let problem = SlowQueens {
                 inner: NQueens { n: 7 },
             };
-            let result = run(&problem, &EngineConfig::with_workers(2));
+            let result = run(&problem, &EngineConfig::with_workers(2), &unlimited());
             assert_eq!(result.solutions, 40, "trial {trial}");
         }
     }
@@ -785,14 +700,13 @@ mod tests {
         let token = Arc::new(CancelToken::new());
         token.cancel();
         for workers in [1usize, 4] {
-            let result = run(
-                &problem,
-                &EngineConfig::with_workers(workers).cancel_token(Arc::clone(&token)),
-            );
-            assert!(result.cancelled, "workers={workers}");
+            let control = RunControl::new(None, None, Some(Arc::clone(&token)));
+            let result = run(&problem, &EngineConfig::with_workers(workers), &control);
+            assert!(control.cancelled(), "workers={workers}");
             assert_eq!(result.solutions, 0, "workers={workers}");
-            assert!(!result.limit_hit);
-            assert!(!result.timed_out);
+            assert_eq!(result.states, 0, "workers={workers}");
+            assert!(!control.limit_hit());
+            assert!(!control.timed_out());
         }
     }
 
@@ -839,8 +753,9 @@ mod tests {
             seen: std::sync::atomic::AtomicU64::new(0),
             after: 5,
         };
-        let result = run(&problem, &EngineConfig::with_workers(3).cancel_token(token));
-        assert!(result.cancelled);
+        let control = RunControl::new(None, None, Some(token));
+        let result = run(&problem, &EngineConfig::with_workers(3), &control);
+        assert!(control.cancelled());
         assert!(result.solutions < 92, "cancellation cut the run short");
         assert!(result.solutions >= 5, "counted solutions before the cancel");
     }
@@ -848,11 +763,11 @@ mod tests {
     #[test]
     fn time_limit_forces_termination() {
         let problem = NQueens { n: 10 };
-        let config = EngineConfig::with_workers(2).time_limit(Duration::from_millis(1));
-        let result = run(&problem, &config);
+        let control = RunControl::new(None, Some(Duration::from_millis(1)), None);
+        let result = run(&problem, &EngineConfig::with_workers(2), &control);
         // Either it finished incredibly fast or it was cut off; both are fine,
         // but the run must return promptly and report consistently.
-        if result.timed_out {
+        if control.timed_out() {
             assert!(result.solutions <= 724);
         } else {
             assert_eq!(result.solutions, 724);
@@ -862,7 +777,7 @@ mod tests {
     #[test]
     fn worker_stats_are_populated() {
         let problem = NQueens { n: 7 };
-        let result = run(&problem, &EngineConfig::with_workers(3));
+        let result = run(&problem, &EngineConfig::with_workers(3), &unlimited());
         assert_eq!(result.workers.len(), 3);
         let total: u64 = result.workers.iter().map(|w| w.states).sum();
         assert_eq!(total, result.states);

@@ -21,6 +21,12 @@
 //! * termination is detected with the **Dijkstra ring token** algorithm
 //!   (white/black token passed by idle workers).
 //!
+//! [`run`] takes the problem, an [`EngineConfig`] (workers, task-group size,
+//! stealing switch, victim-selection seed) and the caller's
+//! [`sge_util::RunControl`], which owns the match budget, the deadline and
+//! cancellation: workers claim every solution through it, poll it once per
+//! [`sge_util::POLL_INTERVAL`] ticks, and force termination when it stops.
+//!
 //! The engine is generic over a [`BacktrackProblem`]; `sge-parallel` plugs the
 //! RI / RI-DS search into it, and the test-suite exercises it with independent
 //! toy problems (N-Queens, bounded trees) so scheduler bugs are not masked by

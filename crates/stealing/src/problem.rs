@@ -42,8 +42,9 @@ pub trait BacktrackProblem: Sync {
     /// already undone).
     fn undo(&self, level: usize, state: &mut Self::State);
 
-    /// Called once per complete consistent assignment, on the worker that
-    /// found it, with all levels applied.  Implementations that need to
+    /// Called once per *counted* solution — a complete consistent
+    /// assignment whose claim the run's `RunControl` granted — on the worker
+    /// that found it, with all levels applied.  Implementations that need to
     /// collect solutions can use interior mutability (e.g. a mutex-protected
     /// vector); the engine itself only counts.
     fn on_solution(&self, _worker_id: usize, _state: &Self::State) {}

@@ -40,21 +40,13 @@ pub struct RunResult {
     pub steal_requests: u64,
     /// Wall-clock seconds for the whole parallel phase.
     pub elapsed_seconds: f64,
-    /// `true` when the run was cut short by the configured time limit.
-    pub timed_out: bool,
-    /// `true` when the run stopped because the solution budget
-    /// (`EngineConfig::max_solutions`) was exhausted.
-    pub limit_hit: bool,
-    /// `true` when the run stopped because the external cancellation token
-    /// (`EngineConfig::cancel`) fired.
-    pub cancelled: bool,
     /// Per-worker breakdown.
     pub workers: Vec<WorkerStats>,
 }
 
 impl RunResult {
     /// Builds the aggregate from per-worker stats.
-    pub fn from_workers(workers: Vec<WorkerStats>, elapsed_seconds: f64, timed_out: bool) -> Self {
+    pub fn from_workers(workers: Vec<WorkerStats>, elapsed_seconds: f64) -> Self {
         let solutions = workers.iter().map(|w| w.solutions).sum();
         let states = workers.iter().map(|w| w.states).sum();
         let steals = workers.iter().map(|w| w.steals).sum();
@@ -65,9 +57,6 @@ impl RunResult {
             steals,
             steal_requests,
             elapsed_seconds,
-            timed_out,
-            limit_hit: false,
-            cancelled: false,
             workers,
         }
     }
@@ -118,32 +107,28 @@ mod tests {
 
     #[test]
     fn aggregation_sums_counters() {
-        let result =
-            RunResult::from_workers(vec![worker(0, 10, 1, 2), worker(1, 30, 3, 4)], 2.0, false);
+        let result = RunResult::from_workers(vec![worker(0, 10, 1, 2), worker(1, 30, 3, 4)], 2.0);
         assert_eq!(result.states, 40);
         assert_eq!(result.steals, 4);
         assert_eq!(result.solutions, 6);
         assert!((result.states_per_second() - 20.0).abs() < 1e-12);
-        assert!(!result.timed_out);
     }
 
     #[test]
     fn stddev_zero_for_balanced_workers() {
-        let result =
-            RunResult::from_workers(vec![worker(0, 50, 0, 0), worker(1, 50, 0, 0)], 1.0, false);
+        let result = RunResult::from_workers(vec![worker(0, 50, 0, 0), worker(1, 50, 0, 0)], 1.0);
         assert!(result.worker_states_stddev().abs() < 1e-12);
     }
 
     #[test]
     fn stddev_positive_for_imbalanced_workers() {
-        let result =
-            RunResult::from_workers(vec![worker(0, 0, 0, 0), worker(1, 100, 0, 0)], 1.0, false);
+        let result = RunResult::from_workers(vec![worker(0, 0, 0, 0), worker(1, 100, 0, 0)], 1.0);
         assert!((result.worker_states_stddev() - 50.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_run_is_zeroed() {
-        let result = RunResult::from_workers(vec![], 0.0, false);
+        let result = RunResult::from_workers(vec![], 0.0);
         assert_eq!(result.states, 0);
         assert_eq!(result.worker_states_stddev(), 0.0);
         assert_eq!(result.states_per_second(), 0.0);

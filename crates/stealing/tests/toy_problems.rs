@@ -9,7 +9,11 @@
 //! * a **panic-free degenerate matrix** of tiny configurations.
 
 use sge_stealing::{run, BacktrackProblem, EngineConfig};
-use sge_util::SplitMix64;
+use sge_util::{RunControl, SplitMix64};
+
+fn unlimited() -> RunControl {
+    RunControl::new(None, None, None)
+}
 
 /// A complete b-ary tree of the given depth: every choice is consistent, so
 /// the number of solutions is exactly `branching ^ depth`.
@@ -112,7 +116,7 @@ fn complete_tree_counts_are_exact() {
         let expected = (branching as u64).pow(depth as u32);
         for workers in [1usize, 2, 4, 8] {
             let problem = CompleteTree { branching, depth };
-            let result = run(&problem, &EngineConfig::with_workers(workers));
+            let result = run(&problem, &EngineConfig::with_workers(workers), &unlimited());
             assert_eq!(
                 result.solutions, expected,
                 "b={branching} d={depth} workers={workers}"
@@ -133,7 +137,7 @@ fn irregular_tree_counts_match_reference() {
                 bound,
             };
             let config = EngineConfig::with_workers(workers).task_group_size(group_size);
-            let result = run(&problem, &config);
+            let result = run(&problem, &config, &unlimited());
             assert_eq!(
                 result.solutions, expected,
                 "workers={workers} group_size={group_size}"
@@ -149,21 +153,21 @@ fn degenerate_configurations_do_not_hang() {
         branching: 0,
         depth: 3,
     };
-    let result = run(&empty_tree, &EngineConfig::with_workers(4));
+    let result = run(&empty_tree, &EngineConfig::with_workers(4), &unlimited());
     assert_eq!(result.solutions, 0);
 
     let single = CompleteTree {
         branching: 1,
         depth: 1,
     };
-    let result = run(&single, &EngineConfig::with_workers(8));
+    let result = run(&single, &EngineConfig::with_workers(8), &unlimited());
     assert_eq!(result.solutions, 1);
 
     let zero_depth = CompleteTree {
         branching: 5,
         depth: 0,
     };
-    let result = run(&zero_depth, &EngineConfig::with_workers(2));
+    let result = run(&zero_depth, &EngineConfig::with_workers(2), &unlimited());
     assert_eq!(result.solutions, 1);
 }
 
@@ -173,7 +177,7 @@ fn per_worker_stats_sum_to_totals() {
         items: (1..=12).collect(),
         bound: 30,
     };
-    let result = run(&problem, &EngineConfig::with_workers(4));
+    let result = run(&problem, &EngineConfig::with_workers(4), &unlimited());
     assert_eq!(
         result.workers.iter().map(|w| w.solutions).sum::<u64>(),
         result.solutions
@@ -206,11 +210,12 @@ fn engine_matches_reference_on_random_instances() {
         let config = EngineConfig::with_workers(workers)
             .task_group_size(group_size)
             .steal(steal);
-        let result = run(&problem, &config);
+        let control = unlimited();
+        let result = run(&problem, &config, &control);
         assert_eq!(
             result.solutions, expected,
             "case={case} workers={workers} group={group_size} steal={steal}"
         );
-        assert!(!result.timed_out);
+        assert!(!control.timed_out());
     }
 }

@@ -13,8 +13,19 @@
 //! *observer* of the run (a streaming consumer whose client disconnected, a
 //! supervisor) flips to make every scheduler stop as if its budget had been
 //! exhausted — cooperative, checked at the same points as the match budget.
+//!
+//! [`RunControl`] is the run contract every scheduler shares: one budget, one
+//! deadline and one optional token, polled at one cadence
+//! ([`POLL_INTERVAL`]), with the reason the run stopped latched once.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// How often a worker polls the deadline and the cancellation token: every
+/// this many visited states (sequential driver) or scheduler ticks (the
+/// work-stealing runtime).  `Instant::now` is cheap but not free.
+pub const POLL_INTERVAL: u64 = 1024;
 
 /// A shared cooperative cancellation flag.
 ///
@@ -87,6 +98,122 @@ impl MatchBudget {
     }
 }
 
+/// The stop protocol of one run, shared by all of its workers: the match
+/// budget, the deadline and the optional cancellation token, plus the
+/// latched reason the run stopped.
+///
+/// Workers call [`RunControl::is_stopped`] before every unit of work,
+/// [`RunControl::poll`] before their first one and every [`POLL_INTERVAL`]
+/// after, and [`RunControl::claim`] before counting a match.  A fired token
+/// makes every later claim fail, so cancellation behaves like a budget that
+/// ran out the moment the token fired; a stopped run's counts are lower
+/// bounds.
+#[derive(Debug)]
+pub struct RunControl {
+    budget: MatchBudget,
+    deadline: Option<Instant>,
+    cancel: Option<Arc<CancelToken>>,
+    stopped: AtomicBool,
+    timed_out: AtomicBool,
+    cancelled: AtomicBool,
+}
+
+impl RunControl {
+    /// A run that stops after `max_matches` matches, `time_limit` after this
+    /// call, or when `cancel` fires — whichever comes first (`None` = never).
+    pub fn new(
+        max_matches: Option<u64>,
+        time_limit: Option<Duration>,
+        cancel: Option<Arc<CancelToken>>,
+    ) -> Self {
+        RunControl {
+            budget: MatchBudget::new(max_matches),
+            deadline: time_limit.map(|limit| Instant::now() + limit),
+            cancel,
+            stopped: AtomicBool::new(max_matches == Some(0)),
+            timed_out: AtomicBool::new(false),
+            cancelled: AtomicBool::new(false),
+        }
+    }
+
+    /// `true` when nothing can interrupt the run: no match limit, no
+    /// deadline, no token.  Only then may a worker count matches in bulk
+    /// without claiming them one by one.
+    pub fn is_unbounded(&self) -> bool {
+        self.budget.limit.is_none() && self.deadline.is_none() && self.cancel.is_none()
+    }
+
+    /// `true` once the run must stop, for whatever reason.
+    #[inline]
+    pub fn is_stopped(&self) -> bool {
+        self.stopped.load(Ordering::Relaxed)
+    }
+
+    /// Consults the token and the clock, latching `cancelled` or `timed_out`
+    /// on the first that fired; returns [`RunControl::is_stopped`].
+    pub fn poll(&self) -> bool {
+        if self.is_stopped() || self.token_fired() {
+            return true;
+        }
+        if self
+            .deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
+        {
+            self.timed_out.store(true, Ordering::SeqCst);
+            self.stopped.store(true, Ordering::SeqCst);
+        }
+        self.is_stopped()
+    }
+
+    /// Claims one slot of the match budget: `true` means "count this match".
+    /// Claims after the token fired or past the limit fail, so the counted
+    /// total is exactly `min(max_matches, total)`.
+    #[inline]
+    pub fn claim(&self) -> bool {
+        if self.token_fired() {
+            return false;
+        }
+        if self.budget.limit.is_none() {
+            // Nothing to count against: skip the exhaustion check.
+            return true;
+        }
+        let counted = self.budget.claim();
+        if self.budget.is_exhausted() {
+            self.stopped.store(true, Ordering::SeqCst);
+        }
+        counted
+    }
+
+    /// `true` once the token fired; latches `cancelled` and stops the run.
+    #[inline]
+    fn token_fired(&self) -> bool {
+        let fired = self
+            .cancel
+            .as_ref()
+            .is_some_and(|token| token.is_cancelled());
+        if fired {
+            self.cancelled.store(true, Ordering::SeqCst);
+            self.stopped.store(true, Ordering::SeqCst);
+        }
+        fired
+    }
+
+    /// Whether the deadline stopped the run.
+    pub fn timed_out(&self) -> bool {
+        self.timed_out.load(Ordering::SeqCst)
+    }
+
+    /// Whether the match budget ran out.
+    pub fn limit_hit(&self) -> bool {
+        self.budget.is_exhausted()
+    }
+
+    /// Whether the cancellation token stopped the run.
+    pub fn cancelled(&self) -> bool {
+        self.cancelled.load(Ordering::SeqCst)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,5 +267,74 @@ mod tests {
         assert!(budget.claim());
         assert!(budget.is_exhausted());
         assert!(!budget.claim());
+    }
+
+    #[test]
+    fn run_control_zero_budget_is_exhausted_at_construction() {
+        let control = RunControl::new(Some(0), None, None);
+        assert!(control.is_stopped());
+        assert!(control.limit_hit());
+        assert!(!control.claim());
+        assert!(!control.timed_out() && !control.cancelled());
+    }
+
+    #[test]
+    fn run_control_counts_exactly_under_concurrent_claims() {
+        for limit in [0u64, 1, 37, 400, 10_000] {
+            let control = RunControl::new(Some(limit), None, None);
+            let barrier = std::sync::Barrier::new(4);
+            let counted: u64 = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..4)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            (0..500).filter(|_| control.claim()).count() as u64
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("claiming thread panicked"))
+                    .sum()
+            });
+            assert_eq!(counted, limit.min(2000), "limit={limit}");
+            assert_eq!(control.is_stopped(), limit <= 2000, "limit={limit}");
+            assert_eq!(control.limit_hit(), limit <= 2000, "limit={limit}");
+        }
+    }
+
+    #[test]
+    fn run_control_expired_deadline_latches_before_any_work() {
+        let control = RunControl::new(None, Some(Duration::ZERO), None);
+        assert!(!control.is_unbounded());
+        assert!(control.poll(), "the first poll sees the expired deadline");
+        assert!(control.timed_out());
+        assert!(control.is_stopped());
+        assert!(!control.limit_hit() && !control.cancelled());
+        // Claims are still counted: the deadline stops work, not accounting.
+        assert!(control.claim());
+        let open = RunControl::new(None, Some(Duration::from_secs(3600)), None);
+        assert!(!open.poll());
+        assert!(!open.timed_out());
+    }
+
+    #[test]
+    fn run_control_fired_token_latches_cancelled_and_refuses_claims() {
+        let token = Arc::new(CancelToken::new());
+        let control = RunControl::new(Some(10), None, Some(Arc::clone(&token)));
+        assert!(control.claim());
+        assert!(!control.poll());
+        token.cancel();
+        assert!(
+            !control.claim(),
+            "claims after the token fired are discarded"
+        );
+        assert!(control.cancelled());
+        assert!(control.is_stopped());
+        assert!(control.poll());
+        assert!(!control.limit_hit() && !control.timed_out());
+        let unbounded = RunControl::new(None, None, None);
+        assert!(unbounded.is_unbounded());
+        assert!(!unbounded.poll() && unbounded.claim());
     }
 }

@@ -10,8 +10,9 @@
 //! * [`stats`] — running mean / standard deviation / standard error and the
 //!   geometric mean used throughout the paper's tables,
 //! * [`timing`] — phase timers separating preprocessing from matching time,
-//! * [`budget`] — the shared exact solution budget used for cooperative
-//!   early termination by every parallel scheduler,
+//! * [`budget`] — the run contract every scheduler shares: the exact match
+//!   budget, the cancellation token and the [`RunControl`] that polls them
+//!   together with the deadline,
 //! * [`rng`] — a tiny deterministic SplitMix64/xorshift generator for places
 //!   where reproducibility matters more than statistical quality (e.g. victim
 //!   selection in the work-stealing scheduler),
@@ -35,7 +36,7 @@ pub mod stats;
 pub mod timing;
 
 pub use bitset::Bitset;
-pub use budget::{CancelToken, MatchBudget};
+pub use budget::{CancelToken, MatchBudget, RunControl, POLL_INTERVAL};
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use rng::SplitMix64;
 pub use stats::{geometric_mean, LatencyHistogram, RunningStats, SpeedupSummary};

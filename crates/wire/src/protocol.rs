@@ -836,6 +836,13 @@ mod tests {
         assert!(parse_command("QUERY target=k5").is_err());
         assert!(parse_command("QUERY target=k5 algo=wat pattern=1;0;0").is_err());
         assert!(parse_command("QUERY target=k5 bogus=1 pattern=1;0;0").is_err());
+        // A pinned worker count becomes OS threads, so it is capped at parse
+        // time: the request is refused before anything is enumerated.
+        let err = parse_command("QUERY target=k5 sched=ws:100000 pattern=1;0;0")
+            .expect_err("an over-cap worker count must be rejected");
+        let rendered = error_response(&err).render();
+        assert!(rendered.starts_with("{\"ok\":false,"), "{rendered}");
+        assert!(rendered.contains("256"), "{rendered}");
     }
 
     #[test]

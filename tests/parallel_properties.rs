@@ -131,16 +131,35 @@ fn all_schedulers(task_group_size: usize) -> Vec<Scheduler> {
 
 #[test]
 fn all_schedulers_agree_on_random_instances() {
-    for case in 0..16u64 {
-        let mut rng = SplitMix64::new(0x5EED ^ case);
-        let n = 12 + rng.next_below(10);
-        let k = 3 + rng.next_below(3);
-        let group_size = 1 + rng.next_below(8);
-        let target = Arc::new(random_labeled_graph(rng.next_u64(), n, 0.15, 3));
-        let pattern = Arc::new(extracted_pattern(rng.next_u64(), &target, k));
-
+    let mut inputs: Vec<(String, Arc<Graph>, Arc<Graph>, usize)> = (0..16u64)
+        .map(|case| {
+            let mut rng = SplitMix64::new(0x5EED ^ case);
+            let n = 12 + rng.next_below(10);
+            let k = 3 + rng.next_below(3);
+            let group_size = 1 + rng.next_below(8);
+            let target = Arc::new(random_labeled_graph(rng.next_u64(), n, 0.15, 3));
+            let pattern = Arc::new(extracted_pattern(rng.next_u64(), &target, k));
+            (case.to_string(), pattern, target, group_size)
+        })
+        .collect();
+    // A dense, bitmap-routed instance: count-only runs take the last-depth
+    // popcount shortcut in the sequential driver, which the rayon-style pool
+    // runs once per claimed root.
+    inputs.push((
+        "dense-bitmap".to_string(),
+        Arc::new(sge::graph::generators::directed_cycle(4, 0)),
+        Arc::new(sge::graph::generators::clique(20, 0)),
+        4,
+    ));
+    for (case, pattern, target, group_size) in inputs {
         let engine = prepare(&pattern, &target, Algorithm::RiDsSiFc);
         let reference = engine.run(&RunConfig::default());
+        if case == "dense-bitmap" {
+            assert!(
+                reference.kernels.bitmap > 0,
+                "the dense input must route bitmap"
+            );
+        }
         for scheduler in all_schedulers(group_size) {
             let outcome = engine.run(&RunConfig::new(scheduler));
             assert_eq!(
